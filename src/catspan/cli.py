@@ -6,7 +6,7 @@ reports are byte-deterministic for fixed inputs and flags; wall-clock
 time is therefore shown only in text mode. Exit codes: 0 the operation
 succeeded and the checked property holds, 1 a law or property was
 violated (the report carries a witness), 2 usage, parse, or budget
-errors.
+errors, and any unexpected internal error (one line on stderr).
 """
 
 from __future__ import annotations
@@ -533,24 +533,26 @@ def main(argv: list[str] | None = None) -> int:
         paths = _input_paths(args)
         digest = _digest(paths)
         ok, results = HANDLERS[args.subcommand](args, config, budget)
+        report = {
+            "format": 1,
+            "subcommand": args.subcommand,
+            "inputs": {"paths": paths, "sha256": digest},
+            "config": {"budget": config.budget, "tol": config.tol, "seed": config.seed},
+            "ok": ok,
+            "results": _sanitize(results),
+            "budget": {"cap": budget.cap, "used": budget.used},
+            "timing": None,  # suppressed for byte-deterministic reports; see text mode
+        }
+        _emit(report, config, time.perf_counter() - started)
     except (ParseError, StructuralError, InputError, UnknownObjectError) as exc:
         print(f"catspan: error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
         print(f"catspan: error: {exc}", file=sys.stderr)
         return 2
-
-    report = {
-        "format": 1,
-        "subcommand": args.subcommand,
-        "inputs": {"paths": paths, "sha256": digest},
-        "config": {"budget": config.budget, "tol": config.tol, "seed": config.seed},
-        "ok": ok,
-        "results": _sanitize(results),
-        "budget": {"cap": budget.cap, "used": budget.used},
-        "timing": None,  # suppressed for byte-deterministic reports; see text mode
-    }
-    _emit(report, config, time.perf_counter() - started)
+    except Exception as exc:  # exit 1 is reserved for a violated property with a witness
+        print(f"catspan: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

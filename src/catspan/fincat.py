@@ -58,6 +58,12 @@ class FinCategory:
     def _by_label(self) -> dict[str, Morphism]:
         return {m.label: m for m in self.morphisms}
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Structures built from this category alone (hom-sets and the
+        representable functors), filled in by ``setfunc``."""
+        return {}
+
     def morphism(self, label: str) -> Morphism:
         try:
             return self._by_label[label]

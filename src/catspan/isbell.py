@@ -9,6 +9,13 @@ conjugate and a copresheaf are read in the opposite functor category, so
 "hom(F*, G)" is computed as transformations G => F*. With this reading the
 two conjugations are adjoint on the right and the transpose below is a
 bijection.
+
+The element at position i of a conjugate at X is the i-th transformation
+of its evaluation table, labeled ``t<i>`` only at the edge. A
+ConjugatePair keeps the signature -> position index built with each table,
+so locating a transformation is one dict lookup. One transpose routine
+serves both directions of the adjunction, and the unit is the transpose of
+the identity of the conjugate.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .setfunc import (
     coyoneda,
     coyoneda_on_morphism,
     enumerate_nat,
+    identity_nat,
     is_natural_iso,
     make_transformation,
     validate_functor,
@@ -43,27 +51,47 @@ from .setfunc import (
 @dataclass(frozen=True)
 class ConjugatePair:
     """A functor together with its conjugate and, for every object, the
-    transformations realizing the conjugate's elements. Element ``t<i>`` of
-    the conjugate at X is evaluation_tables[X][i]; downstream consumers
-    look transformations up here instead of re-enumerating."""
+    transformations realizing the conjugate's elements. Element ``t<i>``,
+    at position i of the conjugate at X, is evaluation_tables[X][i], and
+    index[X] maps that transformation's signature back to i; downstream
+    consumers look transformations up here instead of re-enumerating."""
 
     original: SetValuedFunctor
     conjugate: SetValuedFunctor
     evaluation_tables: dict[str, list[NatTransformation]]
+    index: dict[str, dict[tuple[int, ...], int]]
 
     def label_of(self, obj: str, t: NatTransformation) -> str:
-        sig = component_signature(t)
-        for i, entry in enumerate(self.evaluation_tables[obj]):
-            if component_signature(entry) == sig:
-                return f"t{i}"
-        raise RuntimeError(f"transformation not present in the evaluation table at {obj!r}")
-
-    def realize(self, obj: str, label: str) -> NatTransformation:
-        return self.evaluation_tables[obj][int(label[1:])]
+        i = self.index[obj].get(component_signature(t))
+        if i is None:
+            raise RuntimeError(f"transformation not present in the evaluation table at {obj!r}")
+        return f"t{i}"
 
 
 def _labels(n: int) -> FinSet:
     return FinSet(tuple(f"t{i}" for i in range(n)))
+
+
+def _conjugate(functor: SetValuedFunctor, representable, induced, variance: str, budget: Budget) -> ConjugatePair:
+    """Object X carries the transformations functor => representable(X),
+    labeled t0, t1, ... in enumeration order. A morphism u acts by
+    postcomposition with induced(u), the transformation between the
+    representables at the start and the end of u's action in ``variance``."""
+    base = functor.base
+    tables = {obj: enumerate_nat(functor, representable(base, obj), budget) for obj in base.objects}
+    index = {
+        obj: {component_signature(t): i for i, t in enumerate(entries)}
+        for obj, entries in tables.items()
+    }
+    on_objects = {obj: _labels(len(tables[obj])) for obj in base.objects}
+    on_morphisms = {}
+    for m in base.morphisms:
+        start, end = (m.src, m.tgt) if variance == COVARIANT else (m.tgt, m.src)
+        u = induced(base, m.label)
+        images = tuple(index[end][component_signature(compose_nat(u, t))] for t in tables[start])
+        on_morphisms[m.label] = SetFunction._trusted(on_objects[start], on_objects[end], images)
+    conjugate = validate_functor(base, variance, on_objects, on_morphisms)
+    return ConjugatePair(functor, conjugate, tables, index)
 
 
 def conjugate_presheaf(presheaf: SetValuedFunctor, budget: Budget | int | None = None) -> ConjugatePair:
@@ -73,25 +101,7 @@ def conjugate_presheaf(presheaf: SetValuedFunctor, budget: Budget | int | None =
     transformation between representables."""
     if presheaf.variance != CONTRAVARIANT:
         raise ValueError("presheaf conjugation needs a contravariant functor")
-    b = Budget.coerce(budget)
-    base = presheaf.base
-
-    tables = {obj: enumerate_nat(presheaf, yoneda(base, obj), b) for obj in base.objects}
-    index = {
-        obj: {component_signature(t): i for i, t in enumerate(entries)}
-        for obj, entries in tables.items()
-    }
-    on_objects = {obj: _labels(len(tables[obj])) for obj in base.objects}
-    on_morphisms = {}
-    for m in base.morphisms:
-        induced = yoneda_on_morphism(base, m.label)
-        mapping = {}
-        for i, t in enumerate(tables[m.src]):
-            composite = compose_nat(induced, t)
-            mapping[f"t{i}"] = f"t{index[m.tgt][component_signature(composite)]}"
-        on_morphisms[m.label] = mapping
-    conjugate = validate_functor(base, COVARIANT, on_objects, on_morphisms)
-    return ConjugatePair(presheaf, conjugate, tables)
+    return _conjugate(presheaf, yoneda, yoneda_on_morphism, COVARIANT, Budget.coerce(budget))
 
 
 def conjugate_copresheaf(copresheaf: SetValuedFunctor, budget: Budget | int | None = None) -> ConjugatePair:
@@ -100,25 +110,7 @@ def conjugate_copresheaf(copresheaf: SetValuedFunctor, budget: Budget | int | No
     postcomposition with the precomposition transformation it induces."""
     if copresheaf.variance != COVARIANT:
         raise ValueError("copresheaf conjugation needs a covariant functor")
-    b = Budget.coerce(budget)
-    base = copresheaf.base
-
-    tables = {obj: enumerate_nat(copresheaf, coyoneda(base, obj), b) for obj in base.objects}
-    index = {
-        obj: {component_signature(t): i for i, t in enumerate(entries)}
-        for obj, entries in tables.items()
-    }
-    on_objects = {obj: _labels(len(tables[obj])) for obj in base.objects}
-    on_morphisms = {}
-    for m in base.morphisms:
-        induced = coyoneda_on_morphism(base, m.label)  # z(tgt) => z(src)
-        mapping = {}
-        for i, t in enumerate(tables[m.tgt]):
-            composite = compose_nat(induced, t)
-            mapping[f"t{i}"] = f"t{index[m.src][component_signature(composite)]}"
-        on_morphisms[m.label] = mapping
-    conjugate = validate_functor(base, CONTRAVARIANT, on_objects, on_morphisms)
-    return ConjugatePair(copresheaf, conjugate, tables)
+    return _conjugate(copresheaf, coyoneda, coyoneda_on_morphism, CONTRAVARIANT, Budget.coerce(budget))
 
 
 def conjugate_transform(
@@ -154,63 +146,36 @@ class AdjunctionWitness:
     copresheaf_pair: ConjugatePair
 
 
-def _transpose_left_to_right(
-    phi: NatTransformation,
-    presheaf: SetValuedFunctor,
-    copresheaf: SetValuedFunctor,
-    presheaf_pair: ConjugatePair,
-    copresheaf_pair: ConjugatePair,
+def _transpose(
+    h: NatTransformation,
+    pair: ConjugatePair,
+    other_pair: ConjugatePair,
+    representables: dict[str, SetValuedFunctor],
 ) -> NatTransformation:
-    # Through the pairing p(X, Y): F(X) x G(Y) -> hom(X, Y) with
-    # p(X, Y)(s, t) = alpha_X(s) where alpha realizes phi_Y(t); currying p
-    # in the first variable yields the right-hand transformation F => G*.
-    base = presheaf.base
-    gstar = copresheaf_pair.conjugate
+    """The transpose F => G* of h: G => F*, where pair is (F, F*), other_pair
+    is (G, G*), and representables[X] is the representable G*(X) maps into.
+
+    Through the pairing p(X, Y)(s, t) = alpha_X(s), where alpha realizes
+    h_Y(t), curried in the first variable. Position i of F*(Y) is realized
+    by evaluation_tables[Y][i]; alpha_X(s) is a position in a hom-set
+    between X and Y, and that hom-set is the very FinSet representables[X]
+    takes at Y.
+    """
+    f, g = pair.original, other_pair.original
+    base = f.base
     comps = {}
     for x in base.objects:
-        z_x = coyoneda(base, x)
+        rep = representables[x]
         mapping = {}
-        for s in presheaf.at(x).elements:
-            beta_comps = {}
+        for k, s in enumerate(f.at(x).elements):
+            curried = {}
             for y in base.objects:
-                images = {}
-                for t in copresheaf.at(y).elements:
-                    alpha = presheaf_pair.realize(y, phi.components[y].mapping[t])
-                    images[t] = alpha.components[x].mapping[s]
-                beta_comps[y] = SetFunction(copresheaf.at(y), z_x.at(y), images)
-            beta = make_transformation(copresheaf, z_x, beta_comps)
-            mapping[s] = copresheaf_pair.label_of(x, beta)
-        comps[x] = SetFunction(presheaf.at(x), gstar.at(x), mapping)
-    return make_transformation(presheaf, gstar, comps)
-
-
-def _transpose_right_to_left(
-    psi: NatTransformation,
-    presheaf: SetValuedFunctor,
-    copresheaf: SetValuedFunctor,
-    presheaf_pair: ConjugatePair,
-    copresheaf_pair: ConjugatePair,
-) -> NatTransformation:
-    # Same pairing, curried in the second variable: p(X, Y)(s, t) =
-    # beta_Y(t) where beta realizes psi_X(s).
-    base = presheaf.base
-    fstar = presheaf_pair.conjugate
-    comps = {}
-    for y in base.objects:
-        y_y = yoneda(base, y)
-        mapping = {}
-        for t in copresheaf.at(y).elements:
-            alpha_comps = {}
-            for x in base.objects:
-                images = {}
-                for s in presheaf.at(x).elements:
-                    beta = copresheaf_pair.realize(x, psi.components[x].mapping[s])
-                    images[s] = beta.components[y].mapping[t]
-                alpha_comps[x] = SetFunction(presheaf.at(x), y_y.at(x), images)
-            alpha = make_transformation(presheaf, y_y, alpha_comps)
-            mapping[t] = presheaf_pair.label_of(y, alpha)
-        comps[y] = SetFunction(copresheaf.at(y), fstar.at(y), mapping)
-    return make_transformation(copresheaf, fstar, comps)
+                realizers = pair.evaluation_tables[y]
+                images = tuple(realizers[i].components[x].images[k] for i in h.components[y].images)
+                curried[y] = SetFunction._trusted(g.at(y), rep.at(y), images)
+            mapping[s] = other_pair.label_of(x, make_transformation(g, rep, curried))
+        comps[x] = SetFunction(f.at(x), other_pair.conjugate.at(x), mapping)
+    return make_transformation(f, other_pair.conjugate, comps)
 
 
 def adjunction_transpose(
@@ -231,18 +196,21 @@ def adjunction_transpose(
     left = enumerate_nat(copresheaf, presheaf_pair.conjugate, b)
     right = enumerate_nat(presheaf, copresheaf_pair.conjugate, b)
 
+    base = presheaf.base
+    representables = {x: yoneda(base, x) for x in base.objects}
+    corepresentables = {x: coyoneda(base, x) for x in base.objects}
     left_index = {component_signature(t): i for i, t in enumerate(left)}
     right_index = {component_signature(t): i for i, t in enumerate(right)}
     forward = {}
     for i, phi in enumerate(left):
-        psi = _transpose_left_to_right(phi, presheaf, copresheaf, presheaf_pair, copresheaf_pair)
+        psi = _transpose(phi, presheaf_pair, copresheaf_pair, corepresentables)
         sig = component_signature(psi)
         if sig not in right_index:
             raise RuntimeError("transpose produced a transformation outside the enumerated hom-set")
         forward[f"l{i}"] = f"r{right_index[sig]}"
     backward = {}
     for j, psi in enumerate(right):
-        phi = _transpose_right_to_left(psi, presheaf, copresheaf, presheaf_pair, copresheaf_pair)
+        phi = _transpose(psi, copresheaf_pair, presheaf_pair, representables)
         sig = component_signature(phi)
         if sig not in left_index:
             raise RuntimeError("transpose produced a transformation outside the enumerated hom-set")
@@ -268,7 +236,8 @@ def double_conjugate(presheaf: SetValuedFunctor, budget: Budget | int | None = N
 
 
 def unit(presheaf: SetValuedFunctor, budget: Budget | int | None = None) -> NatTransformation:
-    """The canonical comparison from a presheaf into its double conjugate.
+    """The canonical comparison from a presheaf into its double conjugate:
+    the transpose of the identity of the conjugate.
 
     At an object X, a value s is sent to the transformation from the
     conjugate into z(X) that evaluates each realizing alpha at s; the
@@ -277,22 +246,8 @@ def unit(presheaf: SetValuedFunctor, budget: Budget | int | None = None) -> NatT
     b = Budget.coerce(budget)
     star, dstar = double_conjugate(presheaf, b)
     base = presheaf.base
-    comps = {}
-    for x in base.objects:
-        z_x = coyoneda(base, x)
-        mapping = {}
-        for s in presheaf.at(x).elements:
-            beta_comps = {}
-            for y in base.objects:
-                images = {
-                    f"t{i}": alpha.components[x].mapping[s]
-                    for i, alpha in enumerate(star.evaluation_tables[y])
-                }
-                beta_comps[y] = SetFunction(star.conjugate.at(y), z_x.at(y), images)
-            beta = make_transformation(star.conjugate, z_x, beta_comps)
-            mapping[s] = dstar.label_of(x, beta)
-        comps[x] = SetFunction(presheaf.at(x), dstar.conjugate.at(x), mapping)
-    return make_transformation(presheaf, dstar.conjugate, comps)
+    corepresentables = {x: coyoneda(base, x) for x in base.objects}
+    return _transpose(identity_nat(star.conjugate), star, dstar, corepresentables)
 
 
 @dataclass(frozen=True)
@@ -308,8 +263,7 @@ def _describe(base: FinCategory, functor: SetValuedFunctor, action_morphisms: li
         return sizes
     actions = []
     for label in action_morphisms:
-        fn = functor.act(label)
-        body = ",".join(f"{e}>{fn.mapping[e]}" for e in fn.dom.elements)
+        body = ",".join(f"{e}>{img}" for e, img in functor.act(label).mapping.items())
         actions.append(f"{label}:[{body}]")
     return f"{sizes}; {' '.join(actions)}"
 
@@ -339,9 +293,11 @@ def reflexive_scan(
         choice_lists = []
         feasible = True
         for m in non_identity:
-            dom = on_objects[m.tgt].elements  # contravariant action
-            cod = on_objects[m.src].elements
-            functions = [dict(zip(dom, pick)) for pick in itertools.product(cod, repeat=len(dom))]
+            dom, cod = on_objects[m.tgt], on_objects[m.src]  # contravariant action
+            functions = [
+                SetFunction._trusted(dom, cod, pick)
+                for pick in itertools.product(range(len(cod)), repeat=len(dom))
+            ]
             if not functions:
                 feasible = False
                 break

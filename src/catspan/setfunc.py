@@ -5,11 +5,23 @@ base; a covariant one is an object of the copresheaf category. Enumeration
 of natural transformations is a backtracking search over component values
 with forward propagation of every naturality constraint, guarded by an
 explicit node budget.
+
+Labels live at the edge, positions inside. A FinSet indexes its labels
+once; a SetFunction stores the codomain position of each image and builds
+its label view ``mapping`` only when asked; a transformation's signature is
+its flat tuple of slot positions. Outside input is checked where it enters
+(``SetFunction(dom, cod, mapping)``, ``validate_functor``,
+``make_transformation``); composites and search results, correct by
+construction, skip that re-check. Hom-sets and representables are built
+once per category and memoised on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .fincat import FinCategory, StructuralError
 
@@ -69,11 +81,17 @@ class NaturalityError(ValueError):
 
 @dataclass(frozen=True)
 class FinSet:
+    """A finite set of labels in a fixed order, with a label -> position
+    index built once."""
+
     elements: tuple[str, ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        index = {e: i for i, e in enumerate(self.elements)}
+        if len(index) != len(self.elements):
             raise ValueError(f"duplicate element labels in {self.elements}")
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -82,45 +100,84 @@ class FinSet:
         return iter(self.elements)
 
     def __contains__(self, item) -> bool:
-        return item in self.elements
+        return item in self.index
 
 
-@dataclass(frozen=True)
+def _gather(table: tuple, positions: tuple[int, ...]) -> tuple:
+    """``table[p]`` for every p in ``positions``, as a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)(table)
+    return tuple(table[p] for p in positions)
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class SetFunction:
+    """A function between finite sets. ``images[i]`` is the codomain
+    position of the image of the i-th domain element; ``mapping`` is the
+    label view, built on each access for callers that read labels.
+
+    ``SetFunction(dom, cod, mapping)`` checks every image; the library's
+    own composites, inverses and search results are built by ``_trusted``.
+    """
+
     dom: FinSet
     cod: FinSet
-    mapping: dict[str, str]
+    images: tuple[int, ...]
 
-    def __post_init__(self):
-        for e in self.dom.elements:
-            if e not in self.mapping:
+    def __init__(self, dom: FinSet, cod: FinSet, mapping: dict[str, str]):
+        for e in dom.elements:
+            if e not in mapping:
                 raise ValueError(f"element {e!r} has no image")
-        for e, img in self.mapping.items():
-            if e not in self.dom:
+        for e, img in mapping.items():
+            if e not in dom:
                 raise ValueError(f"mapping defined on {e!r} outside the domain")
-            if img not in self.cod:
+            if img not in cod:
                 raise ValueError(f"image {img!r} of {e!r} lies outside the codomain")
+        position = cod.index
+        _fill(self, dom, cod, tuple(position[mapping[e]] for e in dom.elements))
+
+    @classmethod
+    def _trusted(cls, dom: FinSet, cod: FinSet, images: tuple[int, ...]) -> "SetFunction":
+        """Internal constructor for values correct by construction: ``images``
+        are codomain positions in domain order and are not re-checked."""
+        fn = object.__new__(cls)
+        _fill(fn, dom, cod, images)
+        return fn
+
+    @property
+    def mapping(self) -> dict[str, str]:
+        cod = self.cod.elements
+        return {e: cod[p] for e, p in zip(self.dom.elements, self.images)}
 
     def __call__(self, element: str) -> str:
-        return self.mapping[element]
+        return self.cod.elements[self.images[self.dom.index[element]]]
 
     def is_bijection(self) -> bool:
-        return len(self.dom) == len(self.cod) == len(set(self.mapping.values()))
+        return len(self.dom) == len(self.cod) == len(set(self.images))
 
     def inverse(self) -> "SetFunction":
         if not self.is_bijection():
             raise ValueError("not a bijection")
-        return SetFunction(self.cod, self.dom, {v: k for k, v in self.mapping.items()})
+        inverse = [0] * len(self.images)
+        for i, p in enumerate(self.images):
+            inverse[p] = i
+        return SetFunction._trusted(self.cod, self.dom, tuple(inverse))
+
+
+def _fill(fn: SetFunction, dom: FinSet, cod: FinSet, images: tuple[int, ...]) -> None:
+    object.__setattr__(fn, "dom", dom)
+    object.__setattr__(fn, "cod", cod)
+    object.__setattr__(fn, "images", images)
 
 
 def identity_function(carrier: FinSet) -> SetFunction:
-    return SetFunction(carrier, carrier, {e: e for e in carrier.elements})
+    return SetFunction._trusted(carrier, carrier, tuple(range(len(carrier))))
 
 
 def compose_functions(second: SetFunction, first: SetFunction) -> SetFunction:
     if first.cod != second.dom:
         raise ValueError("functions not composable")
-    return SetFunction(first.dom, second.cod, {e: second.mapping[first.mapping[e]] for e in first.dom.elements})
+    return SetFunction._trusted(first.dom, second.cod, _gather(second.images, first.images))
 
 
 @dataclass(frozen=True)
@@ -188,7 +245,7 @@ def validate_functor(
 
     for obj in base.objects:
         ident = base.identity[obj]
-        if morphisms[ident].mapping != {e: e for e in objects[obj].elements}:
+        if morphisms[ident].images != tuple(range(len(objects[obj]))):
             raise FunctorLawError("identity", (ident,), f"action of {ident!r} is not the identity on the value set of {obj!r}")
 
     for (g, f), r in base.table.items():
@@ -196,7 +253,7 @@ def validate_functor(
             expected = compose_functions(morphisms[g], morphisms[f])
         else:
             expected = compose_functions(morphisms[f], morphisms[g])
-        if morphisms[r].mapping != expected.mapping:
+        if morphisms[r].images != expected.images:
             raise FunctorLawError("composition", (g, f, r), "action of the composite differs from the composite of the actions")
 
     return SetValuedFunctor(base, variance, objects, morphisms)
@@ -212,13 +269,13 @@ class NatTransformation:
         return self.components[obj]
 
 
-def component_signature(t: NatTransformation) -> tuple:
-    """Canonical flattened image tuple; equal iff structurally equal
-    (for transformations between the same pair of functors)."""
-    return tuple(
-        tuple(t.components[obj].mapping[e] for e in t.source.at(obj).elements)
-        for obj in t.source.base.objects
-    )
+def component_signature(t: NatTransformation) -> tuple[int, ...]:
+    """The flat slot tuple: the image positions of every component, objects
+    in base declaration order and elements in value-set order. Equal iff
+    structurally equal (for transformations between the same pair of
+    functors)."""
+    components = t.components
+    return tuple(chain.from_iterable(components[obj].images for obj in t.source.base.objects))
 
 
 def _require_parallel(source: SetValuedFunctor, target: SetValuedFunctor) -> None:
@@ -234,11 +291,12 @@ def naturality_witness(t: NatTransformation) -> tuple[str, str] | None:
     covariant = source.variance == COVARIANT
     for m in source.base.morphisms:
         start, end = (m.src, m.tgt) if covariant else (m.tgt, m.src)
-        fu, gu = source.act(m.label), target.act(m.label)
-        comp_start, comp_end = t.components[start], t.components[end]
-        for e in source.at(start).elements:
-            if comp_end.mapping[fu.mapping[e]] != gu.mapping[comp_start.mapping[e]]:
-                return m.label, e
+        fu, gu = source.act(m.label).images, target.act(m.label).images
+        comp_start, comp_end = t.components[start].images, t.components[end].images
+        around, across = _gather(comp_end, fu), _gather(gu, comp_start)
+        if around != across:
+            k = next(k for k, (a, b) in enumerate(zip(around, across)) if a != b)
+            return m.label, source.at(start).elements[k]
     return None
 
 
@@ -315,28 +373,37 @@ def enumerate_nat(
     base = source.base
     covariant = source.variance == COVARIANT
 
-    slots: list[tuple[str, str]] = []
+    # Slot i holds the target position assigned to one source element;
+    # first[obj] is the slot of the first element of obj.
+    first: dict[str, int] = {}
+    blocks = []
+    choices: list[int] = []
     for obj in base.objects:
-        slots.extend((obj, e) for e in source.at(obj).elements)
-    pos = {slot: i for i, slot in enumerate(slots)}
+        dom, cod = source.at(obj), target.at(obj)
+        first[obj] = len(choices)
+        blocks.append((obj, dom, cod, len(choices), len(choices) + len(dom)))
+        choices.extend([len(cod)] * len(dom))
+    n = len(choices)
 
-    # Assigning eta(obj)(elem) = v forces, along each base morphism u
-    # leaving obj (entering, for contravariant), the value
-    # eta(end)(F(u)(elem)) = G(u)(v).
-    outgoing: dict[str, list[tuple[SetFunction, SetFunction, str]]] = {obj: [] for obj in base.objects}
+    # Assigning eta(obj)(e) = v forces, along each base morphism u leaving
+    # obj (entering, for contravariant), the value eta(end)(F(u)(e)) =
+    # G(u)(v). edges[i] lists (forced slot, G(u) images) in morphism order.
+    edges: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     for m in base.morphisms:
         start, end = (m.src, m.tgt) if covariant else (m.tgt, m.src)
-        outgoing[start].append((source.act(m.label), target.act(m.label), end))
+        gu = target.act(m.label).images
+        lo, end_lo = first[start], first[end]
+        for k, p in enumerate(source.act(m.label).images):
+            edges[lo + k].append((end_lo + p, gu))
 
-    values: list[str | None] = [None] * len(slots)
+    values: list[int | None] = [None] * n
     results: list[NatTransformation] = []
 
-    def force(slot: tuple[str, str], value: str, trail: list[int]) -> bool:
+    def force(slot: int, value: int, trail: list[int]) -> bool:
         stack = [(slot, value)]
         while stack:
-            s, v = stack.pop()
+            i, v = stack.pop()
             b.charge()
-            i = pos[s]
             current = values[i]
             if current is not None:
                 if current != v:
@@ -344,39 +411,73 @@ def enumerate_nat(
                 continue
             values[i] = v
             trail.append(i)
-            obj, elem = s
-            for fu, gu, end in outgoing[obj]:
-                stack.append(((end, fu.mapping[elem]), gu.mapping[v]))
+            for j, gu in edges[i]:
+                stack.append((j, gu[v]))
         return True
 
     def snapshot() -> NatTransformation:
-        comps = {}
-        for obj in base.objects:
-            dom, cod = source.at(obj), target.at(obj)
-            comps[obj] = SetFunction(dom, cod, {e: values[pos[(obj, e)]] for e in dom.elements})
+        comps = {obj: SetFunction._trusted(dom, cod, tuple(values[lo:hi])) for obj, dom, cod, lo, hi in blocks}
         return NatTransformation(source, target, comps)
 
-    def extend(i: int) -> None:
-        while i < len(slots) and values[i] is not None:
+    def next_free(i: int) -> int:
+        while i < n and values[i] is not None:
             i += 1
-        if i == len(slots):
-            results.append(snapshot())
-            return
-        obj, _ = slots[i]
-        for v in target.at(obj).elements:
-            trail: list[int] = []
-            if force(slots[i], v, trail):
-                extend(i + 1)
-            for j in reversed(trail):
-                values[j] = None
+        return i
 
-    extend(0)
+    # Depth-first over the free slots. Each frame is [slot, next candidate,
+    # trail of the candidate last tried]; the stack is explicit so that the
+    # depth is limited by the budget, not by the interpreter's recursion limit.
+    i = next_free(0)
+    if i == n:
+        return [snapshot()]
+    frames = [[i, 0, []]]
+    while frames:
+        frame = frames[-1]
+        i, v, trail = frame
+        for j in trail:
+            values[j] = None
+        if v == choices[i]:
+            frames.pop()
+            continue
+        trail = []
+        frame[1], frame[2] = v + 1, trail
+        if force(i, v, trail):
+            j = next_free(i + 1)
+            if j == n:
+                results.append(snapshot())
+            else:
+                frames.append([j, 0, []])
     return results
 
 
+def _per_category(build):
+    """Memoise ``build(category, *args)`` on the category. A category is not
+    changed once validated, so whatever is built from it alone stays valid;
+    each representable is then built and checked once per category."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def memoised(category: FinCategory, *args):
+        memo = category._memo
+        key = (name, *args)
+        if key not in memo:
+            memo[key] = build(category, *args)
+        return memo[key]
+
+    return memoised
+
+
+@_per_category
+def _hom(category: FinCategory, src_obj: str, tgt_obj: str) -> FinSet:
+    """hom(src_obj, tgt_obj) as one shared FinSet, so that y(Y)(X) and
+    z(X)(Y) are the same set and positions carry over between them."""
+    return FinSet(tuple(category.hom_set(src_obj, tgt_obj)))
+
+
+@_per_category
 def yoneda(category: FinCategory, obj: str) -> SetValuedFunctor:
     """The representable presheaf of morphisms into ``obj``."""
-    on_objects = {a: FinSet(tuple(category.hom_set(a, obj))) for a in category.objects}
+    on_objects = {a: _hom(category, a, obj) for a in category.objects}
     on_morphisms = {}
     for m in category.morphisms:
         # contravariant: hom(tgt(u), obj) -> hom(src(u), obj), h -> h . u
@@ -384,9 +485,10 @@ def yoneda(category: FinCategory, obj: str) -> SetValuedFunctor:
     return validate_functor(category, CONTRAVARIANT, on_objects, on_morphisms)
 
 
+@_per_category
 def coyoneda(category: FinCategory, obj: str) -> SetValuedFunctor:
     """The representable copresheaf of morphisms out of ``obj``."""
-    on_objects = {a: FinSet(tuple(category.hom_set(obj, a))) for a in category.objects}
+    on_objects = {a: _hom(category, obj, a) for a in category.objects}
     on_morphisms = {}
     for m in category.morphisms:
         # covariant: hom(obj, src(u)) -> hom(obj, tgt(u)), h -> u . h
@@ -394,6 +496,7 @@ def coyoneda(category: FinCategory, obj: str) -> SetValuedFunctor:
     return validate_functor(category, COVARIANT, on_objects, on_morphisms)
 
 
+@_per_category
 def yoneda_on_morphism(category: FinCategory, morphism: str) -> NatTransformation:
     """Postcomposition transformation y(src(u)) => y(tgt(u)) induced by u."""
     m = category.morphism(morphism)
@@ -409,6 +512,7 @@ def yoneda_on_morphism(category: FinCategory, morphism: str) -> NatTransformatio
     return make_transformation(src_f, tgt_f, comps)
 
 
+@_per_category
 def coyoneda_on_morphism(category: FinCategory, morphism: str) -> NatTransformation:
     """Precomposition transformation z(tgt(u)) => z(src(u)) induced by u."""
     m = category.morphism(morphism)
@@ -432,12 +536,13 @@ class Bijection:
     def __post_init__(self):
         if self.forward.dom != self.backward.cod or self.forward.cod != self.backward.dom:
             raise ValueError("forward and backward endpoints do not match")
-        for e in self.forward.dom.elements:
-            if self.backward.mapping[self.forward.mapping[e]] != e:
-                raise ValueError(f"backward . forward is not the identity at {e!r}")
-        for e in self.backward.dom.elements:
-            if self.forward.mapping[self.backward.mapping[e]] != e:
-                raise ValueError(f"forward . backward is not the identity at {e!r}")
+        forward, backward = self.forward.images, self.backward.images
+        for i, p in enumerate(forward):
+            if backward[p] != i:
+                raise ValueError(f"backward . forward is not the identity at {self.forward.dom.elements[i]!r}")
+        for i, p in enumerate(backward):
+            if forward[p] != i:
+                raise ValueError(f"forward . backward is not the identity at {self.backward.dom.elements[i]!r}")
 
 
 @dataclass(frozen=True)
@@ -470,14 +575,14 @@ def yoneda_lemma_bijection(
     index = {component_signature(t): i for i, t in enumerate(nats)}
     ident = base.identity_of(obj)
 
-    forward = {f"n{i}": t.components[obj].mapping[ident] for i, t in enumerate(nats)}
+    forward = {f"n{i}": t.components[obj](ident) for i, t in enumerate(nats)}
     backward = {}
     for a in presheaf.at(obj).elements:
         comps = {
             w: SetFunction(
                 hom_into.at(w),
                 presheaf.at(w),
-                {u: presheaf.act(u).mapping[a] for u in hom_into.at(w).elements},
+                {u: presheaf.act(u)(a) for u in hom_into.at(w).elements},
             )
             for w in base.objects
         }

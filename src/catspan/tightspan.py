@@ -111,7 +111,8 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     """Check the metric axioms exhaustively, within tolerance.
 
     Shape mismatches raise ValueError; axiom failures raise MetricError
-    carrying every violation with a witness triple.
+    carrying every violation with a witness tuple. Non-finite entries come
+    first, as axiom ``finite`` with their (row, column) points.
     """
     labels = tuple(points)
     if len(set(labels)) != len(labels):
@@ -121,7 +122,10 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     if d.shape != (n, n):
         raise ValueError(f"distance matrix must be {n}x{n}, got {d.shape}")
 
-    violations: list[tuple[str, tuple[str, ...]]] = []
+    # NaN compares false with everything, so no later axiom would catch it.
+    violations: list[tuple[str, tuple[str, ...]]] = [
+        ("finite", (labels[i], labels[j])) for i, j in zip(*np.nonzero(~np.isfinite(d)))
+    ]
     for i in range(n):
         for j in range(n):
             if d[i, j] < -tol:

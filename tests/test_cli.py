@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from catspan.cli import main
 from catspan.corpus import fixture_path
@@ -196,6 +199,32 @@ def test_metric_validate_violation(capsys, tmp_path):
     assert any(v["axiom"] == "triangle" for v in report["results"]["violations"])
 
 
+NON_FINITE = [
+    ([[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]], [["a", "b"], ["b", "a"]]),
+    ([[0, 1, 1], [1, 0, math.inf], [1, 1, 0]], [["b", "c"]]),
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("matrix,witnesses", NON_FINITE)
+def test_non_finite_distances_are_violations(capsys, tmp_path, matrix, witnesses):
+    path = tmp_path / "nonfinite.metric.json"
+    path.write_text(json.dumps({"format": 1, "kind": "metric", "points": ["a", "b", "c"], "d": matrix}))
+    code, out, err = run(capsys, "metric-validate", str(path), "--format", "structured")
+    assert code == 1
+    violations = json.loads(out, parse_constant=_reject_constant)["results"]["violations"]
+    assert violations[: len(witnesses)] == [{"axiom": "finite", "witness": w} for w in witnesses]
+    assert all(v["axiom"] != "finite" for v in violations[len(witnesses):])
+
+    code, out, err = run(capsys, "sample-span", str(path), "--format", "structured")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_tripod(capsys):
     code, out, err = run(capsys, "tripod", fx("triangle345.metric.json"), "--format", "structured")
     assert code == 0
@@ -280,3 +309,30 @@ def test_structured_reports_byte_identical(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_deep_nat_is_not_limited_by_recursion(capsys, tmp_path):
+    # 1,500 free slots and exactly one transformation into a singleton.
+    paths = []
+    for name, size in (("big", 1500), ("one", 1)):
+        doc = {
+            "format": 1,
+            "kind": "functor",
+            "category": fx("terminal.category.json"),
+            "variance": "contra",
+            "objects": {"*": [f"e{i}" for i in range(size)]},
+            "morphisms": {},
+        }
+        paths.append(tmp_path / f"{name}.presheaf.json")
+        paths[-1].write_text(json.dumps(doc))
+    code, out, err = run(capsys, "nat", *map(str, paths), "--format", "structured")
+    assert code == 0, err
+    assert json.loads(out)["results"]["count"] == 1
+
+
+def test_unexpected_error_exits_two_with_one_line(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "tripod", fx("triangle345.metric.json"), "--output", str(tmp_path / "missing" / "report.json"),
+    )
+    assert code == 2
+    assert err.startswith("catspan: ") and err.count("\n") == 1

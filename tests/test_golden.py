@@ -1,0 +1,117 @@
+"""Byte-for-byte golden outputs of the CLI in structured mode.
+
+Each case runs ``catspan.cli.main`` from the directory holding its inputs,
+so the reported input paths are the bare file names, and compares stdout
+with ``tests/golden/<case>.json``. The corpus cases are the criterion-7
+suite of ``test_acceptance``; the others run ``unit``, ``conjugate`` and
+``adjunction-check`` on sums of two representables over Z3 and Z4, whose
+documents live in ``tests/golden/inputs``.
+
+    PYTHONPATH=src python tests/test_golden.py
+
+rewrites the input documents and every golden file from the code on
+PYTHONPATH. Do that only for a change that alters output on purpose, and
+record the change.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from catspan.cli import main
+from catspan.corpus import fixture_path
+from test_acceptance import CLI_SUITE
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+FIXTURES = fixture_path("terminal.category.json").parent
+
+
+def _case_name(index: int, argv: list[str]) -> str:
+    words = [a.removesuffix(".json").replace(".", "-") for a in argv if not a.startswith("--")]
+    return re.sub(r"[^A-Za-z0-9_-]", "_", f"c7-{index:02d}-" + "-".join(words))
+
+
+CASES: list[tuple[str, Path, list[str]]] = [
+    (_case_name(i, argv), FIXTURES, argv) for i, argv in enumerate(CLI_SUITE)
+]
+for _n in (3, 4):
+    CASES += [
+        (f"z{_n}-unit-yy", INPUTS, ["unit", f"z{_n}_yy.presheaf.json"]),
+        (f"z{_n}-conjugate-yy", INPUTS, ["conjugate", f"z{_n}_yy.presheaf.json"]),
+        (f"z{_n}-conjugate-zz", INPUTS, ["conjugate", f"z{_n}_zz.copresheaf.json"]),
+        (f"z{_n}-adjunction-yy-zz", INPUTS, ["adjunction-check", f"z{_n}_yy.presheaf.json", f"z{_n}_zz.copresheaf.json"]),
+    ]
+
+
+def run_case(cwd: Path, argv: list[str]) -> tuple[int, bytes]:
+    out = io.StringIO()
+    previous = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main([*argv, "--format", "structured"])
+    finally:
+        os.chdir(previous)
+    return code, out.getvalue().encode()
+
+
+@pytest.mark.parametrize("name,cwd,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(name, cwd, argv):
+    code, produced = run_case(cwd, argv)
+    assert code == 0, argv
+    assert produced == (GOLDEN / f"{name}.json").read_bytes(), name
+
+
+def _cyclic_documents(n: int) -> dict[str, dict]:
+    """Z_n as a one-object category, y+y as a presheaf and z+z as a
+    copresheaf on it; elements are tagged morphism labels."""
+    g = [f"g{k}" for k in range(n)]
+    category = {
+        "format": 1,
+        "kind": "category",
+        "objects": ["*"],
+        "morphisms": [{"id": lab, "src": "*", "tgt": "*"} for lab in g],
+        "identities": {"*": "g0"},
+        "compose": [[g[a], g[b], g[(a + b) % n]] for a in range(n) for b in range(n)],
+    }
+
+    def two_representables(variance: str) -> dict:
+        # y(*): u acts by h -> h . u; z(*): u acts by h -> u . h. Z_n is
+        # abelian, so both send g_b to g_(a+b) under u = g_a.
+        action = {g[a]: {f"{tag}.{g[b]}": f"{tag}.{g[(a + b) % n]}" for tag in "LR" for b in range(n)} for a in range(n)}
+        return {
+            "format": 1,
+            "kind": "functor",
+            "category": f"z{n}.category.json",
+            "variance": variance,
+            "objects": {"*": [f"{tag}.{h}" for tag in "LR" for h in g]},
+            "morphisms": action,
+        }
+
+    return {
+        f"z{n}.category.json": category,
+        f"z{n}_yy.presheaf.json": two_representables("contra"),
+        f"z{n}_zz.copresheaf.json": two_representables("co"),
+    }
+
+
+if __name__ == "__main__":
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    for n in (3, 4):
+        for filename, doc in _cyclic_documents(n).items():
+            (INPUTS / filename).write_text(json.dumps(doc, indent=1) + "\n")
+    for name, cwd, argv in CASES:
+        code, produced = run_case(cwd, argv)
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        (GOLDEN / f"{name}.json").write_bytes(produced)
+    print(f"wrote {len(CASES)} golden files to {GOLDEN}")

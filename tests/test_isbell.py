@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from catspan import (
+    CONTRAVARIANT,
     BudgetExceeded,
     adjunction_transpose,
     component_signature,
@@ -8,6 +11,7 @@ from catspan import (
     conjugate_copresheaf,
     conjugate_presheaf,
     conjugate_transform,
+    double_conjugate,
     coyoneda,
     enumerate_nat,
     identity_nat,
@@ -20,7 +24,17 @@ from catspan import (
     yoneda,
 )
 
-from oracles import brute_force_nat
+from catspan.fileformat import load_functor
+from catspan.setfunc import NatTransformation, SetFunction
+
+from oracles import brute_force_nat, family_key, family_of
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def two_representables(n: int):
+    """y + y over the cyclic group Z_n."""
+    return load_functor(GOLDEN_INPUTS / f"z{n}_yy.presheaf.json")
 
 
 # ---------------------------------------------------------- conjugates
@@ -162,6 +176,38 @@ def test_transpose_commutes_with_precomposition(categories, presheaves, copreshe
                 psi_prime = w_fp.right_homset[int(w_fp.transpose.forward.mapping[f"l{j}"][1:])]
                 psi = w_f.right_homset[int(w_f.transpose.forward.mapping[f"l{i}"][1:])]
                 assert component_signature(psi_prime) == component_signature(compose_nat(psi, h)), name
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_conjugate_of_two_representables_matches_oracle(n):
+    f = two_representables(n)
+    pair = conjugate_presheaf(f)
+    for x in f.base.objects:
+        expected = {family_key(fam) for fam in brute_force_nat(f, yoneda(f.base, x))}
+        actual = [family_key(family_of(t)) for t in pair.evaluation_tables[x]]
+        assert len(set(actual)) == len(actual) == len(pair.conjugate.at(x))
+        assert set(actual) == expected
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_double_conjugate_of_two_representables_has_n_to_the_n_elements(n):
+    star, dstar = double_conjugate(two_representables(n))
+    assert len(star.conjugate.at("*")) == n * n
+    assert len(dstar.conjugate.at("*")) == n**n
+
+
+def test_label_of_rejects_absent_transformation(categories):
+    z2 = categories["z2"]
+    regular = validate_functor(z2, CONTRAVARIANT, {"*": ["0", "1"]}, {"s": {"0": "1", "1": "0"}})
+    pair = conjugate_presheaf(regular)
+    target = yoneda(z2, "*")
+    images = target.at("*").elements
+    t = pair.evaluation_tables["*"][0]
+    assert pair.label_of("*", t) == "t0"
+    # a constant map is not equivariant, so no table entry realizes it
+    constant = SetFunction(regular.at("*"), target.at("*"), {"0": images[0], "1": images[0]})
+    with pytest.raises(RuntimeError, match="not present"):
+        pair.label_of("*", NatTransformation(regular, target, {"*": constant}))
 
 
 # ---------------------------------------------------------- unit

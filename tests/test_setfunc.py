@@ -28,6 +28,20 @@ from oracles import brute_force_nat, family_is_natural, family_key, family_of, u
 # ---------------------------------------------------------------- functors
 
 
+def test_set_function_checks_every_image():
+    dom, cod = FinSet(("a", "b")), FinSet(("x", "y"))
+    with pytest.raises(ValueError, match="outside the codomain"):
+        SetFunction(dom, cod, {"a": "x", "b": "z"})
+    with pytest.raises(ValueError, match="has no image"):
+        SetFunction(dom, cod, {"a": "x"})
+    with pytest.raises(ValueError, match="outside the domain"):
+        SetFunction(dom, cod, {"a": "x", "b": "x", "c": "y"})
+    fn = SetFunction(dom, cod, {"b": "x", "a": "y"})
+    assert fn.images == (1, 0)
+    assert fn.mapping == {"a": "y", "b": "x"}
+    assert fn("b") == "x"
+
+
 def test_constant_singleton_presheaf_valid(categories):
     for name, cat in categories.items():
         objects = {obj: ["pt"] for obj in cat.objects}

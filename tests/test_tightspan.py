@@ -54,6 +54,9 @@ def test_axiom_violations_named():
     with pytest.raises(MetricError) as err:
         validate_metric(["a", "b"], [[0, 0], [0, 0]])
     assert any(v[0] == "zero-distance" for v in err.value.violations)
+    with pytest.raises(MetricError) as err:
+        validate_metric(["a", "b"], [[0, math.nan], [1, 0]])
+    assert err.value.violations[0] == ("finite", ("a", "b"))
 
 
 def test_shape_mismatch_is_not_an_axiom_failure():
