@@ -26,6 +26,7 @@ from .fileformat import (
     functor_to_dict,
     load_category,
     load_functor,
+    load_lawful_category,
     load_metric_document,
 )
 from .fincat import StructuralError, UnknownObjectError, validate_category
@@ -90,22 +91,20 @@ def _nat_to_dict(t) -> dict:
     return {obj: dict(t.components[obj].mapping) for obj in t.source.base.objects}
 
 
-def _load_law_valid_category(path: str):
-    candidate = load_category(path)
-    report = validate_category(candidate)
-    if not report.ok:
-        first = report.violations[0]
-        raise InputError(
-            f"{path}: category violates law {first.law!r} at {first.witness}; run validate-cat for the full report"
-        )
-    return candidate
-
-
 def _load_functor_checked(path: str):
     try:
         return load_functor(path)
     except FunctorLawError as exc:
         raise InputError(f"{path}: {exc}; run validate-fun for details") from None
+
+
+def _load_parallel(left_path: str, right_path: str):
+    left, right = _load_functor_checked(left_path), _load_functor_checked(right_path)
+    if left.base != right.base:
+        raise InputError("the two functors live over different base categories")
+    if left.variance != right.variance:
+        raise InputError("the two functors have different variance")
+    return left, right
 
 
 def _require_variance(functor, variance: str, path: str, subcommand: str):
@@ -165,18 +164,13 @@ def _cmd_validate_fun(args, config, budget):
 
 
 def _cmd_hom(args, config, budget):
-    category = _load_law_valid_category(args.file)
+    category = load_lawful_category(args.file)
     morphisms = category.hom_set(args.src, args.tgt)
     return True, {"src": args.src, "tgt": args.tgt, "morphisms": morphisms}
 
 
 def _cmd_nat(args, config, budget):
-    left = _load_functor_checked(args.source)
-    right = _load_functor_checked(args.target)
-    if left.base != right.base:
-        raise InputError("the two functors live over different base categories")
-    if left.variance != right.variance:
-        raise InputError("the two functors have different variance")
+    left, right = _load_parallel(args.source, args.target)
     nats = enumerate_nat(left, right, budget)
     return True, {
         "count": len(nats),
@@ -185,7 +179,7 @@ def _cmd_nat(args, config, budget):
 
 
 def _cmd_yoneda(args, config, budget):
-    category = _load_law_valid_category(args.file)
+    category = load_lawful_category(args.file)
     if args.object not in category.objects:
         raise InputError(f"unknown object {args.object!r}")
     functor = yoneda(category, args.object)
@@ -214,12 +208,7 @@ def _cmd_yoneda_check(args, config, budget):
 
 
 def _cmd_sum(args, config, budget):
-    left = _load_functor_checked(args.left)
-    right = _load_functor_checked(args.right)
-    if left.base != right.base:
-        raise InputError("the two functors live over different base categories")
-    if left.variance != right.variance:
-        raise InputError("the two functors have different variance")
+    left, right = _load_parallel(args.left, args.right)
     total = pointwise_sum(left, right)
     return True, {"functor": functor_to_dict(total)}
 
@@ -282,7 +271,7 @@ def _cmd_unit(args, config, budget):
 
 
 def _cmd_reflexive_scan(args, config, budget):
-    category = _load_law_valid_category(args.file)
+    category = load_lawful_category(args.file)
     verdicts = reflexive_scan(category, args.max_set_size, budget)
     return True, {
         "max_set_size": args.max_set_size,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .fileformat import load_functor, load_metric_document, load_valid_category
+from .fileformat import load_functor, load_lawful_category, load_metric_document
 from .fincat import FinCategory
 from .setfunc import SetValuedFunctor
 from .tightspan import FiniteMetricSpace, validate_metric
@@ -45,10 +45,7 @@ def fixture_path(filename: str) -> Path:
 
 
 def load_corpus_category(name: str) -> FinCategory:
-    category, report = load_valid_category(fixture_path(f"{name}.category.json"))
-    if not report.ok:
-        raise RuntimeError(f"bundled category {name!r} fails validation: {report.violations}")
-    return category
+    return load_lawful_category(fixture_path(f"{name}.category.json"))
 
 
 def load_corpus_presheaf(name: str, category: FinCategory | None = None) -> SetValuedFunctor:

@@ -2,8 +2,9 @@
 
 All three kinds are JSON documents with a versioned ``"format": 1`` header
 and a ``"kind"`` field. Structural problems are reported as ParseError with
-the offending field path; law checking happens separately so callers can
-distinguish "malformed file" from "well-formed but law-breaking input".
+the offending field path. Loaders other than ``load_category`` check the
+category laws once, where a category enters, and report the first
+violation as a ParseError at the pseudo-path ``<laws>``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .fincat import FinCategory, Morphism, ValidationReport, validate_category
+from .fincat import FinCategory, Morphism, validate_category
 from .setfunc import CONTRAVARIANT, COVARIANT, SetValuedFunctor, validate_functor
 
 FORMAT_VERSION = 1
@@ -109,9 +110,21 @@ def load_category(path: str | Path) -> FinCategory:
     return parse_category(read_document(path), str(path))
 
 
-def load_valid_category(path: str | Path) -> tuple[FinCategory, ValidationReport]:
-    candidate = load_category(path)
-    return candidate, validate_category(candidate)
+def _require_laws(category: FinCategory, source: str) -> FinCategory:
+    report = validate_category(category)
+    if not report.ok:
+        first = report.violations[0]
+        raise ParseError(
+            source, "<laws>",
+            f"category violates law {first.law!r} at {first.witness}; run validate-cat for the full report",
+        )
+    return category
+
+
+def load_lawful_category(path: str | Path) -> FinCategory:
+    """Parse a category file and check every category law; the first
+    violation is a ParseError that names the law and its witness."""
+    return _require_laws(load_category(path), str(path))
 
 
 def parse_functor(doc: dict, source: str, category: FinCategory | None = None,
@@ -125,14 +138,9 @@ def parse_functor(doc: dict, source: str, category: FinCategory | None = None,
     if category is None:
         raw_cat = _expect(doc, source, "category", (str, dict), "path or inline category")
         if isinstance(raw_cat, str):
-            cat_path = (base_dir or Path(".")) / raw_cat
-            category = load_category(cat_path)
+            category = load_lawful_category((base_dir or Path(".")) / raw_cat)
         else:
-            category = parse_category(raw_cat, f"{source}:category")
-        report = validate_category(category)
-        if not report.ok:
-            first = report.violations[0]
-            raise ParseError(source, "category", f"base category violates law {first.law!r} at {first.witness}")
+            category = _require_laws(parse_category(raw_cat, f"{source}:category"), f"{source}:category")
     variance_code = _expect(doc, source, "variance", str, "'co' or 'contra'")
     if variance_code not in VARIANCE_CODES:
         raise ParseError(source, "variance", f"expected 'co' or 'contra', got {variance_code!r}")

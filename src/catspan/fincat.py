@@ -60,8 +60,8 @@ class FinCategory:
 
     @cached_property
     def _memo(self) -> dict:
-        """Structures built from this category alone (hom-sets and the
-        representable functors), filled in by ``setfunc``."""
+        """Structures built from this category alone: its opposite, and the
+        representable functors filled in by ``setfunc``."""
         return {}
 
     def morphism(self, label: str) -> Morphism:
@@ -196,10 +196,14 @@ def validate_category(candidate: FinCategory) -> ValidationReport:
 
 
 def opposite(category: FinCategory) -> FinCategory:
-    """Reverse every morphism and swap the order of composition."""
-    return FinCategory(
-        objects=category.objects,
-        morphisms=tuple(Morphism(m.label, m.tgt, m.src) for m in category.morphisms),
-        identity=dict(category.identity),
-        table={(f, g): r for (g, f), r in category.table.items()},
-    )
+    """Reverse every morphism and swap the order of composition. Built once
+    per category and linked back: ``opposite(opposite(C)) is C``."""
+    if "opposite" not in category._memo:
+        op = FinCategory(
+            objects=category.objects,
+            morphisms=tuple(Morphism(m.label, m.tgt, m.src) for m in category.morphisms),
+            identity=dict(category.identity),
+            table={(f, g): r for (g, f), r in category.table.items()},
+        )
+        op._memo["opposite"], category._memo["opposite"] = category, op
+    return category._memo["opposite"]

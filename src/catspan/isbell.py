@@ -4,11 +4,12 @@ for functors on which that comparison is an isomorphism.
 
 Convention, fixed once and used everywhere: the conjugate of a presheaf F
 takes an object X to the transformations F => y(X); the conjugate of a
-copresheaf G takes X to the transformations G => z(X). Hom-sets between a
-conjugate and a copresheaf are read in the opposite functor category, so
-"hom(F*, G)" is computed as transformations G => F*. With this reading the
-two conjugations are adjoint on the right and the transpose below is a
-bijection.
+copresheaf G takes X to the transformations G => z(X). As z_C(X) =
+y_{C^op}(X), that is presheaf conjugation over C^op: G* = dual((dual G)*).
+Hom-sets between a conjugate and a copresheaf are read in the opposite
+functor category, so "hom(F*, G)" is computed as transformations G => F*.
+With this reading the two conjugations are adjoint on the right and the
+transpose below is a bijection.
 
 The element at position i of a conjugate at X is the i-th transformation
 of its evaluation table, labeled ``t<i>`` only at the edge. A
@@ -37,7 +38,7 @@ from .setfunc import (
     component_signature,
     compose_nat,
     coyoneda,
-    coyoneda_on_morphism,
+    dual,
     enumerate_nat,
     identity_nat,
     is_natural_iso,
@@ -72,13 +73,12 @@ def _labels(n: int) -> FinSet:
     return FinSet(tuple(f"t{i}" for i in range(n)))
 
 
-def _conjugate(functor: SetValuedFunctor, representable, induced, variance: str, budget: Budget) -> ConjugatePair:
-    """Object X carries the transformations functor => representable(X),
-    labeled t0, t1, ... in enumeration order. A morphism u acts by
-    postcomposition with induced(u), the transformation between the
-    representables at the start and the end of u's action in ``variance``."""
-    base = functor.base
-    tables = {obj: enumerate_nat(functor, representable(base, obj), budget) for obj in base.objects}
+def _conjugate(presheaf: SetValuedFunctor, budget: Budget) -> ConjugatePair:
+    """Object X carries the transformations presheaf => y(X), labeled t0,
+    t1, ... in enumeration order. A morphism u: X -> Y acts by
+    postcomposition with y(u): y(X) => y(Y)."""
+    base = presheaf.base
+    tables = {obj: enumerate_nat(presheaf, yoneda(base, obj), budget) for obj in base.objects}
     index = {
         obj: {component_signature(t): i for i, t in enumerate(entries)}
         for obj, entries in tables.items()
@@ -86,12 +86,11 @@ def _conjugate(functor: SetValuedFunctor, representable, induced, variance: str,
     on_objects = {obj: _labels(len(tables[obj])) for obj in base.objects}
     on_morphisms = {}
     for m in base.morphisms:
-        start, end = (m.src, m.tgt) if variance == COVARIANT else (m.tgt, m.src)
-        u = induced(base, m.label)
-        images = tuple(index[end][component_signature(compose_nat(u, t))] for t in tables[start])
-        on_morphisms[m.label] = SetFunction._trusted(on_objects[start], on_objects[end], images)
-    conjugate = validate_functor(base, variance, on_objects, on_morphisms)
-    return ConjugatePair(functor, conjugate, tables, index)
+        u = yoneda_on_morphism(base, m.label)
+        images = tuple(index[m.tgt][component_signature(compose_nat(u, t))] for t in tables[m.src])
+        on_morphisms[m.label] = SetFunction._trusted(on_objects[m.src], on_objects[m.tgt], images)
+    conjugate = validate_functor(base, COVARIANT, on_objects, on_morphisms)
+    return ConjugatePair(presheaf, conjugate, tables, index)
 
 
 def conjugate_presheaf(presheaf: SetValuedFunctor, budget: Budget | int | None = None) -> ConjugatePair:
@@ -101,16 +100,24 @@ def conjugate_presheaf(presheaf: SetValuedFunctor, budget: Budget | int | None =
     transformation between representables."""
     if presheaf.variance != CONTRAVARIANT:
         raise ValueError("presheaf conjugation needs a contravariant functor")
-    return _conjugate(presheaf, yoneda, yoneda_on_morphism, COVARIANT, Budget.coerce(budget))
+    return _conjugate(presheaf, Budget.coerce(budget))
 
 
 def conjugate_copresheaf(copresheaf: SetValuedFunctor, budget: Budget | int | None = None) -> ConjugatePair:
     """The contravariant conjugate: object X carries the transformations
     from the copresheaf into the representable z(X); a morphism acts by
-    postcomposition with the precomposition transformation it induces."""
+    postcomposition with the precomposition transformation it induces.
+    Computed as dual((dual G)*); table entries are re-tagged as the
+    transformations G => z(X) they are, so that they compose over C."""
     if copresheaf.variance != COVARIANT:
         raise ValueError("copresheaf conjugation needs a covariant functor")
-    return _conjugate(copresheaf, coyoneda, coyoneda_on_morphism, CONTRAVARIANT, Budget.coerce(budget))
+    base = copresheaf.base
+    over_op = _conjugate(dual(copresheaf), Budget.coerce(budget))
+    tables = {}
+    for obj, entries in over_op.evaluation_tables.items():
+        z = coyoneda(base, obj)
+        tables[obj] = [NatTransformation(copresheaf, z, t.components) for t in entries]
+    return ConjugatePair(copresheaf, dual(over_op.conjugate), tables, over_op.index)
 
 
 def conjugate_transform(
@@ -150,22 +157,23 @@ def _transpose(
     h: NatTransformation,
     pair: ConjugatePair,
     other_pair: ConjugatePair,
-    representables: dict[str, SetValuedFunctor],
+    representable,
 ) -> NatTransformation:
     """The transpose F => G* of h: G => F*, where pair is (F, F*), other_pair
-    is (G, G*), and representables[X] is the representable G*(X) maps into.
+    is (G, G*), and representable (``yoneda`` or ``coyoneda``) gives the
+    representable G*(X) maps into.
 
     Through the pairing p(X, Y)(s, t) = alpha_X(s), where alpha realizes
     h_Y(t), curried in the first variable. Position i of F*(Y) is realized
-    by evaluation_tables[Y][i]; alpha_X(s) is a position in a hom-set
-    between X and Y, and that hom-set is the very FinSet representables[X]
-    takes at Y.
+    by evaluation_tables[Y][i]; alpha_X(s) is a position in the hom-set
+    between X and Y, which representable(X) lists at Y in the same
+    declaration order.
     """
     f, g = pair.original, other_pair.original
     base = f.base
     comps = {}
     for x in base.objects:
-        rep = representables[x]
+        rep = representable(base, x)
         mapping = {}
         for k, s in enumerate(f.at(x).elements):
             curried = {}
@@ -176,6 +184,18 @@ def _transpose(
             mapping[s] = other_pair.label_of(x, make_transformation(g, rep, curried))
         comps[x] = SetFunction(f.at(x), other_pair.conjugate.at(x), mapping)
     return make_transformation(f, other_pair.conjugate, comps)
+
+
+def _transposes(homset, pair: ConjugatePair, other_pair: ConjugatePair, representable, targets) -> tuple[int, ...]:
+    """The position in ``targets`` of the transpose of each entry of ``homset``."""
+    index = {component_signature(t): i for i, t in enumerate(targets)}
+    images = []
+    for h in homset:
+        i = index.get(component_signature(_transpose(h, pair, other_pair, representable)))
+        if i is None:
+            raise RuntimeError("transpose produced a transformation outside the enumerated hom-set")
+        images.append(i)
+    return tuple(images)
 
 
 def adjunction_transpose(
@@ -196,31 +216,11 @@ def adjunction_transpose(
     left = enumerate_nat(copresheaf, presheaf_pair.conjugate, b)
     right = enumerate_nat(presheaf, copresheaf_pair.conjugate, b)
 
-    base = presheaf.base
-    representables = {x: yoneda(base, x) for x in base.objects}
-    corepresentables = {x: coyoneda(base, x) for x in base.objects}
-    left_index = {component_signature(t): i for i, t in enumerate(left)}
-    right_index = {component_signature(t): i for i, t in enumerate(right)}
-    forward = {}
-    for i, phi in enumerate(left):
-        psi = _transpose(phi, presheaf_pair, copresheaf_pair, corepresentables)
-        sig = component_signature(psi)
-        if sig not in right_index:
-            raise RuntimeError("transpose produced a transformation outside the enumerated hom-set")
-        forward[f"l{i}"] = f"r{right_index[sig]}"
-    backward = {}
-    for j, psi in enumerate(right):
-        phi = _transpose(psi, copresheaf_pair, presheaf_pair, representables)
-        sig = component_signature(phi)
-        if sig not in left_index:
-            raise RuntimeError("transpose produced a transformation outside the enumerated hom-set")
-        backward[f"r{j}"] = f"l{left_index[sig]}"
-
     left_labels = FinSet(tuple(f"l{i}" for i in range(len(left))))
     right_labels = FinSet(tuple(f"r{j}" for j in range(len(right))))
     transpose = Bijection(
-        SetFunction(left_labels, right_labels, forward),
-        SetFunction(right_labels, left_labels, backward),
+        SetFunction._trusted(left_labels, right_labels, _transposes(left, presheaf_pair, copresheaf_pair, coyoneda, right)),
+        SetFunction._trusted(right_labels, left_labels, _transposes(right, copresheaf_pair, presheaf_pair, yoneda, left)),
     )
     return AdjunctionWitness(
         presheaf, copresheaf, left, right, transpose, presheaf_pair, copresheaf_pair
@@ -243,11 +243,8 @@ def unit(presheaf: SetValuedFunctor, budget: Budget | int | None = None) -> NatT
     conjugate into z(X) that evaluates each realizing alpha at s; the
     result is located in the double conjugate's evaluation table.
     """
-    b = Budget.coerce(budget)
-    star, dstar = double_conjugate(presheaf, b)
-    base = presheaf.base
-    corepresentables = {x: coyoneda(base, x) for x in base.objects}
-    return _transpose(identity_nat(star.conjugate), star, dstar, corepresentables)
+    star, dstar = double_conjugate(presheaf, budget)
+    return _transpose(identity_nat(star.conjugate), star, dstar, coyoneda)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,12 @@ its label view ``mapping`` only when asked; a transformation's signature is
 its flat tuple of slot positions. Outside input is checked where it enters
 (``SetFunction(dom, cod, mapping)``, ``validate_functor``,
 ``make_transformation``); composites and search results, correct by
-construction, skip that re-check. Hom-sets and representables are built
-once per category and memoised on it.
+construction, skip that re-check. Representables are built once per
+category and memoised on it.
+
+A copresheaf on C is a presheaf on C^op: ``dual`` reads the same value
+table over ``opposite(C)`` with the other variance, and the copresheaf
+side is derived through it, z_C(X) = y_{C^op}(X).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 
-from .fincat import FinCategory, StructuralError
+from .fincat import FinCategory, StructuralError, opposite
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
@@ -192,6 +196,14 @@ class SetValuedFunctor:
 
     def act(self, morphism: str) -> SetFunction:
         return self.on_morphisms[morphism]
+
+
+def dual(functor: SetValuedFunctor) -> SetValuedFunctor:
+    """The same value table read over the opposite category with the other
+    variance; the functor laws carry over, and ``dual(dual(F)).base is
+    F.base``."""
+    variance = CONTRAVARIANT if functor.variance == COVARIANT else COVARIANT
+    return SetValuedFunctor(opposite(functor.base), variance, functor.on_objects, functor.on_morphisms)
 
 
 def validate_functor(
@@ -468,16 +480,9 @@ def _per_category(build):
 
 
 @_per_category
-def _hom(category: FinCategory, src_obj: str, tgt_obj: str) -> FinSet:
-    """hom(src_obj, tgt_obj) as one shared FinSet, so that y(Y)(X) and
-    z(X)(Y) are the same set and positions carry over between them."""
-    return FinSet(tuple(category.hom_set(src_obj, tgt_obj)))
-
-
-@_per_category
 def yoneda(category: FinCategory, obj: str) -> SetValuedFunctor:
     """The representable presheaf of morphisms into ``obj``."""
-    on_objects = {a: _hom(category, a, obj) for a in category.objects}
+    on_objects = {a: FinSet(tuple(category.hom_set(a, obj))) for a in category.objects}
     on_morphisms = {}
     for m in category.morphisms:
         # contravariant: hom(tgt(u), obj) -> hom(src(u), obj), h -> h . u
@@ -487,13 +492,9 @@ def yoneda(category: FinCategory, obj: str) -> SetValuedFunctor:
 
 @_per_category
 def coyoneda(category: FinCategory, obj: str) -> SetValuedFunctor:
-    """The representable copresheaf of morphisms out of ``obj``."""
-    on_objects = {a: _hom(category, obj, a) for a in category.objects}
-    on_morphisms = {}
-    for m in category.morphisms:
-        # covariant: hom(obj, src(u)) -> hom(obj, tgt(u)), h -> u . h
-        on_morphisms[m.label] = {h: category.compose(m.label, h) for h in on_objects[m.src].elements}
-    return validate_functor(category, COVARIANT, on_objects, on_morphisms)
+    """The representable copresheaf of morphisms out of ``obj``, z_C(obj) =
+    y_{C^op}(obj); z(X)(Y) lists hom(X, Y) in the order y(Y)(X) does."""
+    return dual(yoneda(opposite(category), obj))
 
 
 @_per_category
@@ -514,18 +515,11 @@ def yoneda_on_morphism(category: FinCategory, morphism: str) -> NatTransformatio
 
 @_per_category
 def coyoneda_on_morphism(category: FinCategory, morphism: str) -> NatTransformation:
-    """Precomposition transformation z(tgt(u)) => z(src(u)) induced by u."""
+    """Precomposition transformation z(tgt(u)) => z(src(u)) induced by u:
+    postcomposition with u in C^op, whose naturality squares are the same."""
     m = category.morphism(morphism)
-    src_f, tgt_f = coyoneda(category, m.tgt), coyoneda(category, m.src)
-    comps = {
-        a: SetFunction(
-            src_f.at(a),
-            tgt_f.at(a),
-            {h: category.compose(h, morphism) for h in src_f.at(a).elements},
-        )
-        for a in category.objects
-    }
-    return make_transformation(src_f, tgt_f, comps)
+    over_op = yoneda_on_morphism(opposite(category), morphism)
+    return NatTransformation(coyoneda(category, m.tgt), coyoneda(category, m.src), over_op.components)
 
 
 @dataclass(frozen=True)

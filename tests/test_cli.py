@@ -23,27 +23,61 @@ def test_validate_cat_ok(capsys):
     assert "valid: true" in out
 
 
+# The walking arrow without the entry f . id_A: it breaks composition-totality
+# at (f, id_A) and no other law.
+BROKEN_CATEGORY = {
+    "format": 1,
+    "kind": "category",
+    "objects": ["A", "B"],
+    "morphisms": [
+        {"id": "id_A", "src": "A", "tgt": "A"},
+        {"id": "id_B", "src": "B", "tgt": "B"},
+        {"id": "f", "src": "A", "tgt": "B"},
+    ],
+    "identities": {"A": "id_A", "B": "id_B"},
+    "compose": [["id_A", "id_A", "id_A"], ["id_B", "id_B", "id_B"], ["id_B", "f", "f"]],
+}
+
+
 def test_validate_cat_law_failure(capsys, tmp_path):
-    doc = {
-        "format": 1,
-        "kind": "category",
-        "objects": ["A", "B"],
-        "morphisms": [
-            {"id": "id_A", "src": "A", "tgt": "A"},
-            {"id": "id_B", "src": "B", "tgt": "B"},
-            {"id": "f", "src": "A", "tgt": "B"},
-        ],
-        "identities": {"A": "id_A", "B": "id_B"},
-        "compose": [["id_A", "id_A", "id_A"], ["id_B", "id_B", "id_B"], ["id_B", "f", "f"]],
-    }
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(BROKEN_CATEGORY))
     code, out, err = run(capsys, "validate-cat", str(path), "--format", "structured")
     assert code == 1
     report = json.loads(out)
     assert report["ok"] is False
     witnesses = [v["witness"] for v in report["results"]["violations"]]
     assert ["f", "id_A"] in witnesses  # concrete witness required on exit 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom", "{cat}", "A", "B"],
+        ["yoneda", "{cat}", "A"],
+        ["reflexive-scan", "{cat}"],
+        ["validate-fun", "{fun}"],
+        ["nat", "{fun}", "{fun}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_law_violating_category_exits_two(capsys, tmp_path, argv):
+    (tmp_path / "broken.json").write_text(json.dumps(BROKEN_CATEGORY))
+    functor = {
+        "format": 1,
+        "kind": "functor",
+        "category": "broken.json",
+        "variance": "contra",
+        "objects": {"A": [], "B": []},
+        "morphisms": {},
+    }
+    (tmp_path / "over_broken.json").write_text(json.dumps(functor))
+    paths = {"cat": tmp_path / "broken.json", "fun": tmp_path / "over_broken.json"}
+    code, out, err = run(capsys, *[a.format(**paths) for a in argv], "--format", "structured")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "'composition-totality'" in err and "('f', 'id_A')" in err
 
 
 def test_parse_error_names_offending_field(capsys, tmp_path):

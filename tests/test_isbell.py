@@ -80,6 +80,20 @@ def test_terminal_copresheaf_conjugate_singleton(categories):
     assert pair.conjugate.at("*").elements == ("t0",)
 
 
+def test_copresheaf_conjugate_tables_match_oracle(categories, copresheaves):
+    for name, cat in categories.items():
+        for g in copresheaves[name]:
+            pair = conjugate_copresheaf(g)
+            assert pair.conjugate.base is cat
+            for x in cat.objects:
+                z = coyoneda(cat, x)
+                oracle = [family_key(fam) for fam in brute_force_nat(g, z)]
+                table = pair.evaluation_tables[x]
+                assert all(t.source is g and t.target is z for t in table), (name, x)
+                assert [family_key(family_of(t)) for t in table] == oracle, (name, x)
+                assert len(pair.conjugate.at(x)) == len(oracle), (name, x)
+
+
 def test_arrow_terminal_copresheaf_sizes_match_oracle(categories, copresheaves):
     arrow = categories["arrow"]
     g = copresheaves["arrow"][1]  # terminal copresheaf on the walking arrow
@@ -97,11 +111,12 @@ def test_conjugate_budget_propagates(presheaves):
 # ------------------------------------------------- functoriality of conjugation
 
 
-def test_conjugation_of_identity_is_identity(categories, presheaves):
+def test_conjugation_of_identity_is_identity(categories, presheaves, copresheaves):
     for name in categories:
-        for functor in presheaves[name]:
-            pair = conjugate_presheaf(functor)
-            transformed = conjugate_transform(identity_nat(functor), pair, pair)
+        pairs = [conjugate_presheaf(f) for f in presheaves[name]]
+        pairs += [conjugate_copresheaf(g) for g in copresheaves[name]]
+        for pair in pairs:
+            transformed = conjugate_transform(identity_nat(pair.original), pair, pair)
             assert transformed.components == identity_nat(pair.conjugate).components, name
 
 
@@ -180,13 +195,17 @@ def test_transpose_commutes_with_precomposition(categories, presheaves, copreshe
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_conjugate_of_two_representables_matches_oracle(n):
-    f = two_representables(n)
-    pair = conjugate_presheaf(f)
-    for x in f.base.objects:
-        expected = {family_key(fam) for fam in brute_force_nat(f, yoneda(f.base, x))}
-        actual = [family_key(family_of(t)) for t in pair.evaluation_tables[x]]
-        assert len(set(actual)) == len(actual) == len(pair.conjugate.at(x))
-        assert set(actual) == expected
+    # y+y as a presheaf and z+z as a copresheaf, each against its representables
+    for f, conjugate, representable in (
+        (two_representables(n), conjugate_presheaf, yoneda),
+        (load_functor(GOLDEN_INPUTS / f"z{n}_zz.copresheaf.json"), conjugate_copresheaf, coyoneda),
+    ):
+        pair = conjugate(f)
+        for x in f.base.objects:
+            expected = {family_key(fam) for fam in brute_force_nat(f, representable(f.base, x))}
+            actual = [family_key(family_of(t)) for t in pair.evaluation_tables[x]]
+            assert len(set(actual)) == len(actual) == len(pair.conjugate.at(x))
+            assert set(actual) == expected
 
 
 @pytest.mark.parametrize("n", [3, 4])

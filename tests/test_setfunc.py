@@ -9,11 +9,14 @@ from catspan import (
     SetFunction,
     compose_nat,
     coyoneda,
+    coyoneda_on_morphism,
+    dual,
     enumerate_nat,
     identity_nat,
     iso_check,
     make_transformation,
     naturality_witness,
+    opposite,
     pointwise_sum,
     validate_functor,
     yoneda,
@@ -212,6 +215,30 @@ def test_yoneda_on_morphism_arrow(categories):
 def test_yoneda_on_morphism_z2(categories):
     t = yoneda_on_morphism(categories["z2"], "s")
     assert t.components["*"].mapping == {"e": "s", "s": "e"}
+
+
+def test_representables_on_morphisms_read_the_table(categories):
+    # y(u) postcomposes and z(u) precomposes, straight from the table
+    for name, cat in categories.items():
+        for m in cat.morphisms:
+            y_u, z_u = yoneda_on_morphism(cat, m.label), coyoneda_on_morphism(cat, m.label)
+            assert z_u.source is coyoneda(cat, m.tgt) and z_u.target is coyoneda(cat, m.src)
+            for a in cat.objects:
+                assert y_u.components[a].mapping == {h: cat.table[(m.label, h)] for h in cat.hom_set(a, m.src)}
+                assert z_u.components[a].mapping == {h: cat.table[(h, m.label)] for h in cat.hom_set(m.tgt, a)}, (name, m.label, a)
+            assert naturality_witness(z_u) is None
+
+
+def test_dual_is_the_same_table_over_the_opposite(categories, presheaves, copresheaves):
+    for name, cat in categories.items():
+        for f in presheaves[name] + copresheaves[name]:
+            d = dual(f)
+            assert d.base is opposite(cat) and d.variance != f.variance
+            assert dual(d).base is f.base and dual(d) == f
+            # an independent re-check of the laws over C^op
+            assert validate_functor(d.base, d.variance, d.on_objects, d.on_morphisms) == d, name
+        for x in cat.objects:
+            assert coyoneda(cat, x) == dual(yoneda(opposite(cat), x)), (name, x)
 
 
 def test_yoneda_is_functorial(categories):
