@@ -28,6 +28,7 @@ from .fileformat import (
     load_functor,
     load_lawful_category,
     load_metric_document,
+    recording_reads,
 )
 from .fincat import StructuralError, UnknownObjectError, validate_category
 from .isbell import adjunction_transpose, conjugate_copresheaf, conjugate_presheaf, reflexive_scan, unit
@@ -75,16 +76,6 @@ class RunConfig:
             raise InputError("--budget must be positive")
         if self.tol <= 0:
             raise InputError("--tol must be positive")
-
-
-def _digest(paths: list[str]) -> str:
-    h = hashlib.sha256()
-    for p in paths:
-        try:
-            h.update(Path(p).read_bytes())
-        except OSError as exc:
-            raise InputError(f"cannot read {p}: {exc}") from None
-    return h.hexdigest()
 
 
 def _nat_to_dict(t) -> dict:
@@ -394,15 +385,6 @@ HANDLERS = {
 }
 
 
-def _input_paths(args) -> list[str]:
-    paths = []
-    for attr in ("file", "source", "target", "left", "right", "presheaf", "copresheaf"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            paths.append(value)
-    return paths
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=10_000_000, help="node-expansion cap for enumerations")
@@ -519,13 +501,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(args.budget, args.tol, args.seed, args.output_format, args.output)
         budget = Budget(config.budget)
-        paths = _input_paths(args)
-        digest = _digest(paths)
-        ok, results = HANDLERS[args.subcommand](args, config, budget)
+        with recording_reads() as reads:
+            ok, results = HANDLERS[args.subcommand](args, config, budget)
         report = {
             "format": 1,
             "subcommand": args.subcommand,
-            "inputs": {"paths": paths, "sha256": digest},
+            "inputs": {
+                "paths": [path for path, _ in reads],
+                "sha256": hashlib.sha256(b"".join(data for _, data in reads)).hexdigest(),
+            },
             "config": {"budget": config.budget, "tol": config.tol, "seed": config.seed},
             "ok": ok,
             "results": _sanitize(results),

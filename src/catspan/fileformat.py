@@ -10,6 +10,8 @@ violation as a ParseError at the pseudo-path ``<laws>``.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 
 from .fincat import FinCategory, Morphism, validate_category
@@ -32,14 +34,34 @@ class ParseError(ValueError):
         self.detail = detail
 
 
+# The log of the innermost ``recording_reads`` block, if any: a context variable,
+# so that every loader and the category file a functor references are covered.
+_reads: ContextVar[list | None] = ContextVar("catspan_reads", default=None)
+
+
+@contextmanager
+def recording_reads():
+    """Collect ``(path, bytes)`` for every document read inside the block,
+    in read order."""
+    reads: list[tuple[str, bytes]] = []
+    token = _reads.set(reads)
+    try:
+        yield reads
+    finally:
+        _reads.reset(token)
+
+
 def read_document(path: str | Path) -> dict:
     source = str(path)
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(source, "<file>", str(exc)) from None
+    reads = _reads.get()
+    if reads is not None:
+        reads.append((source, data))
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode())
     except json.JSONDecodeError as exc:
         raise ParseError(source, "<file>", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -167,7 +189,7 @@ def parse_functor(doc: dict, source: str, category: FinCategory | None = None,
 
 def load_functor(path: str | Path, category: FinCategory | None = None) -> SetValuedFunctor:
     p = Path(path)
-    return parse_functor(read_document(p), str(p), category, p.parent)
+    return parse_functor(read_document(path), str(p), category, p.parent)
 
 
 def parse_metric(doc: dict, source: str) -> tuple[list[str], list[list[float]]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -343,6 +344,30 @@ def test_structured_reports_byte_identical(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_input_digest_covers_the_referenced_category(capsys, tmp_path):
+    # Byte-identical functor files in two directories, each referencing its
+    # own c.json; the two c.json hold the same category, written differently.
+    functor = json.dumps({
+        "format": 1, "kind": "functor", "category": "c.json", "variance": "contra",
+        "objects": {"*": ["a"]}, "morphisms": {},
+    }).encode()
+    category = json.loads(fixture_path("terminal.category.json").read_text())
+    digests = []
+    for name, indent in (("one", None), ("two", 4)):
+        (tmp_path / name).mkdir()
+        f, c = tmp_path / name / "f.json", tmp_path / name / "c.json"
+        f.write_bytes(functor)
+        c.write_text(json.dumps(category, indent=indent))
+        for argv, read in ((["validate-fun", str(f)], [f, c]), (["nat", str(f), str(f)], [f, c, f, c])):
+            code, out, err = run(capsys, *argv, "--format", "structured")
+            assert code == 0, err
+            inputs = json.loads(out)["inputs"]
+            assert inputs["paths"] == [str(path) for path in read]
+            assert inputs["sha256"] == hashlib.sha256(b"".join(path.read_bytes() for path in read)).hexdigest()
+        digests.append(inputs["sha256"])
+    assert digests[0] != digests[1]
 
 
 def test_deep_nat_is_not_limited_by_recursion(capsys, tmp_path):
