@@ -160,8 +160,8 @@ def _transpose(
     representable,
 ) -> NatTransformation:
     """The transpose F => G* of h: G => F*, where pair is (F, F*), other_pair
-    is (G, G*), and representable (``yoneda`` or ``coyoneda``) gives the
-    representable G*(X) maps into.
+    is (G, G*), and representable (``yoneda`` or ``coyoneda``), over G's
+    base, gives the representable G*(X) maps into.
 
     Through the pairing p(X, Y)(s, t) = alpha_X(s), where alpha realizes
     h_Y(t), curried in the first variable. Position i of F*(Y) is realized
@@ -173,7 +173,7 @@ def _transpose(
     base = f.base
     comps = {}
     for x in base.objects:
-        rep = representable(base, x)
+        rep = representable(g.base, x)
         mapping = {}
         for k, s in enumerate(f.at(x).elements):
             curried = {}
