@@ -13,16 +13,18 @@ transpose below is a bijection.
 
 The element at position i of a conjugate at X is the i-th transformation
 of its evaluation table, labeled ``t<i>`` only at the edge. A
-ConjugatePair keeps the signature -> position index built with each table,
-so locating a transformation is one dict lookup. One transpose routine
-serves both directions of the adjunction, and the unit is the transpose of
-the identity of the conjugate.
+ConjugatePair keeps the signature -> position index built with each table;
+the conjugate's action, conjugate_transform and the transpose compute each
+signature they need from the tables and locate it there, without building
+the transformation. One transpose routine serves both directions of the
+adjunction, and the unit is the transpose of the identity of the conjugate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 
 from .fincat import FinCategory
 from .setfunc import (
@@ -36,7 +38,6 @@ from .setfunc import (
     SetFunction,
     SetValuedFunctor,
     component_signature,
-    compose_nat,
     coyoneda,
     dual,
     enumerate_nat,
@@ -55,7 +56,7 @@ class ConjugatePair:
     transformations realizing the conjugate's elements. Element ``t<i>``,
     at position i of the conjugate at X, is evaluation_tables[X][i], and
     index[X] maps that transformation's signature back to i; downstream
-    consumers look transformations up here instead of re-enumerating."""
+    consumers locate signatures here; ``label_of`` is its label view."""
 
     original: SetValuedFunctor
     conjugate: SetValuedFunctor
@@ -63,10 +64,15 @@ class ConjugatePair:
     index: dict[str, dict[tuple[int, ...], int]]
 
     def label_of(self, obj: str, t: NatTransformation) -> str:
-        i = self.index[obj].get(component_signature(t))
-        if i is None:
-            raise RuntimeError(f"transformation not present in the evaluation table at {obj!r}")
-        return f"t{i}"
+        return f"t{_locate(self.index, obj, component_signature(t))}"
+
+
+def _locate(index: dict[str, dict[tuple[int, ...], int]], obj: str, signature: tuple[int, ...]) -> int:
+    """The position at ``obj`` of the transformation with this signature."""
+    i = index[obj].get(signature)
+    if i is None:
+        raise RuntimeError(f"transformation not present in the evaluation table at {obj!r}")
+    return i
 
 
 def _labels(n: int) -> FinSet:
@@ -76,9 +82,10 @@ def _labels(n: int) -> FinSet:
 def _conjugate(presheaf: SetValuedFunctor, budget: Budget) -> ConjugatePair:
     """Object X carries the transformations presheaf => y(X), labeled t0,
     t1, ... in enumeration order. A morphism u: X -> Y acts by
-    postcomposition with y(u): y(X) => y(Y)."""
+    postcomposition with y(u): y(X) => y(Y), slot by slot."""
     base = presheaf.base
     tables = {obj: enumerate_nat(presheaf, yoneda(base, obj), budget) for obj in base.objects}
+    # Signatures are distinct, so each index lists them in table order.
     index = {
         obj: {component_signature(t): i for i, t in enumerate(entries)}
         for obj, entries in tables.items()
@@ -87,7 +94,8 @@ def _conjugate(presheaf: SetValuedFunctor, budget: Budget) -> ConjugatePair:
     on_morphisms = {}
     for m in base.morphisms:
         u = yoneda_on_morphism(base, m.label)
-        images = tuple(index[m.tgt][component_signature(compose_nat(u, t))] for t in tables[m.src])
+        slots = [u.components[a].images for a in base.objects for _ in presheaf.at(a).elements]
+        images = tuple(_locate(index, m.tgt, tuple(map(getitem, slots, sig))) for sig in index[m.src])
         on_morphisms[m.label] = SetFunction._trusted(on_objects[m.src], on_objects[m.tgt], images)
     conjugate = validate_functor(base, COVARIANT, on_objects, on_morphisms)
     return ConjugatePair(presheaf, conjugate, tables, index)
@@ -126,14 +134,18 @@ def conjugate_transform(
     target_pair: ConjugatePair,
 ) -> NatTransformation:
     """Conjugation applied to a transformation h: F' => F, yielding the
-    precomposition map F* => F'* (likewise for copresheaf conjugates)."""
+    precomposition map F* => F'* (likewise for copresheaf conjugates); slot
+    (a, k) of t . h holds t_a(h_a(k))."""
+    if h.target != source_pair.original or h.source != target_pair.original:
+        raise ValueError("transformations not composable: endpoints differ")
+    objects = h.source.base.objects
     comps = {}
-    base = source_pair.original.base
-    for obj in base.objects:
-        mapping = {}
-        for i, t in enumerate(source_pair.evaluation_tables[obj]):
-            mapping[f"t{i}"] = target_pair.label_of(obj, compose_nat(t, h))
-        comps[obj] = SetFunction(source_pair.conjugate.at(obj), target_pair.conjugate.at(obj), mapping)
+    for obj in objects:
+        images = tuple(
+            _locate(target_pair.index, obj, tuple(t.components[a].images[p] for a in objects for p in h.components[a].images))
+            for t in source_pair.evaluation_tables[obj]
+        )
+        comps[obj] = SetFunction._trusted(source_pair.conjugate.at(obj), target_pair.conjugate.at(obj), images)
     return make_transformation(source_pair.conjugate, target_pair.conjugate, comps)
 
 
@@ -153,45 +165,34 @@ class AdjunctionWitness:
     copresheaf_pair: ConjugatePair
 
 
-def _transpose(
-    h: NatTransformation,
-    pair: ConjugatePair,
-    other_pair: ConjugatePair,
-    representable,
-) -> NatTransformation:
-    """The transpose F => G* of h: G => F*, where pair is (F, F*), other_pair
-    is (G, G*), and representable (``yoneda`` or ``coyoneda``), over G's
-    base, gives the representable G*(X) maps into.
+def _transpose(h: NatTransformation, pair: ConjugatePair, other_pair: ConjugatePair) -> NatTransformation:
+    """The transpose F => G* of h: G => F*, where pair is (F, F*) and
+    other_pair is (G, G*).
 
     Through the pairing p(X, Y)(s, t) = alpha_X(s), where alpha realizes
-    h_Y(t), curried in the first variable. Position i of F*(Y) is realized
-    by evaluation_tables[Y][i]; alpha_X(s) is a position in the hom-set
-    between X and Y, which representable(X) lists at Y in the same
-    declaration order.
+    h_Y(t), curried in the first variable: the curried transformation of s
+    in F(X) has, at the slot of t in G(Y), the position alpha_X(s) in the
+    hom-set between X and Y, which G*'s representable at X lists at Y in
+    the same declaration order. Its signature is located in G*'s table at
+    X; the curried transformation itself is never built.
     """
-    f, g = pair.original, other_pair.original
-    base = f.base
+    f = pair.original
+    objects = f.base.objects
+    tables = pair.evaluation_tables
     comps = {}
-    for x in base.objects:
-        rep = representable(g.base, x)
-        mapping = {}
-        for k, s in enumerate(f.at(x).elements):
-            curried = {}
-            for y in base.objects:
-                realizers = pair.evaluation_tables[y]
-                images = tuple(realizers[i].components[x].images[k] for i in h.components[y].images)
-                curried[y] = SetFunction._trusted(g.at(y), rep.at(y), images)
-            mapping[s] = other_pair.label_of(x, make_transformation(g, rep, curried))
-        comps[x] = SetFunction(f.at(x), other_pair.conjugate.at(x), mapping)
+    for x in objects:
+        columns = [tables[y][i].components[x].images for y in objects for i in h.components[y].images]
+        images = tuple(_locate(other_pair.index, x, tuple(c[k] for c in columns)) for k in range(len(f.at(x))))
+        comps[x] = SetFunction._trusted(f.at(x), other_pair.conjugate.at(x), images)
     return make_transformation(f, other_pair.conjugate, comps)
 
 
-def _transposes(homset, pair: ConjugatePair, other_pair: ConjugatePair, representable, targets) -> tuple[int, ...]:
+def _transposes(homset, pair: ConjugatePair, other_pair: ConjugatePair, targets) -> tuple[int, ...]:
     """The position in ``targets`` of the transpose of each entry of ``homset``."""
     index = {component_signature(t): i for i, t in enumerate(targets)}
     images = []
     for h in homset:
-        i = index.get(component_signature(_transpose(h, pair, other_pair, representable)))
+        i = index.get(component_signature(_transpose(h, pair, other_pair)))
         if i is None:
             raise RuntimeError("transpose produced a transformation outside the enumerated hom-set")
         images.append(i)
@@ -219,8 +220,8 @@ def adjunction_transpose(
     left_labels = FinSet(tuple(f"l{i}" for i in range(len(left))))
     right_labels = FinSet(tuple(f"r{j}" for j in range(len(right))))
     transpose = Bijection(
-        SetFunction._trusted(left_labels, right_labels, _transposes(left, presheaf_pair, copresheaf_pair, coyoneda, right)),
-        SetFunction._trusted(right_labels, left_labels, _transposes(right, copresheaf_pair, presheaf_pair, yoneda, left)),
+        SetFunction._trusted(left_labels, right_labels, _transposes(left, presheaf_pair, copresheaf_pair, right)),
+        SetFunction._trusted(right_labels, left_labels, _transposes(right, copresheaf_pair, presheaf_pair, left)),
     )
     return AdjunctionWitness(
         presheaf, copresheaf, left, right, transpose, presheaf_pair, copresheaf_pair
@@ -244,7 +245,7 @@ def unit(presheaf: SetValuedFunctor, budget: Budget | int | None = None) -> NatT
     result is located in the double conjugate's evaluation table.
     """
     star, dstar = double_conjugate(presheaf, budget)
-    return _transpose(identity_nat(star.conjugate), star, dstar, coyoneda)
+    return _transpose(identity_nat(star.conjugate), star, dstar)
 
 
 @dataclass(frozen=True)

@@ -557,8 +557,9 @@ def yoneda_lemma_bijection(
     """Exhibit nat(y(obj), F) <-> F(obj).
 
     Forward evaluates a transformation at the identity of ``obj``; backward
-    sends a value to the transformation acting by the functor itself. Both
-    round trips are verified.
+    sends a value a to the transformation u -> F(u)(a), whose signature is
+    read off the functor's action and located among the enumerated ones.
+    Both round trips are verified.
     """
     if presheaf.variance != CONTRAVARIANT:
         raise ValueError("the representable comparison needs a contravariant functor")
@@ -567,28 +568,20 @@ def yoneda_lemma_bijection(
     nats = enumerate_nat(hom_into, presheaf, budget)
     labels = FinSet(tuple(f"n{i}" for i in range(len(nats))))
     index = {component_signature(t): i for i, t in enumerate(nats)}
-    ident = base.identity_of(obj)
+    at_identity = hom_into.at(obj).index[base.identity_of(obj)]
 
-    forward = {f"n{i}": t.components[obj](ident) for i, t in enumerate(nats)}
-    backward = {}
-    for a in presheaf.at(obj).elements:
-        comps = {
-            w: SetFunction(
-                hom_into.at(w),
-                presheaf.at(w),
-                {u: presheaf.act(u)(a) for u in hom_into.at(w).elements},
-            )
-            for w in base.objects
-        }
-        t = make_transformation(hom_into, presheaf, comps)
-        sig = component_signature(t)
-        if sig not in index:
+    forward = tuple(t.components[obj].images[at_identity] for t in nats)
+    actions = [presheaf.act(u).images for w in base.objects for u in hom_into.at(w).elements]
+    backward = []
+    for k in range(len(presheaf.at(obj))):
+        i = index.get(tuple(action[k] for action in actions))
+        if i is None:
             raise RuntimeError("enumeration missed a transformation required by the representable bijection")
-        backward[a] = f"n{index[sig]}"
+        backward.append(i)
 
     bijection = Bijection(
-        SetFunction(labels, presheaf.at(obj), forward),
-        SetFunction(presheaf.at(obj), labels, backward),
+        SetFunction._trusted(labels, presheaf.at(obj), forward),
+        SetFunction._trusted(presheaf.at(obj), labels, tuple(backward)),
     )
     return YonedaWitness(nats, labels, bijection)
 

@@ -129,6 +129,13 @@ def test_conjugation_on_transformations_is_natural(categories, presheaves):
             assert naturality_witness(star) is None, name
 
 
+def test_conjugate_transform_rejects_mismatched_pairs(presheaves):
+    f, g = presheaves["arrow"]
+    h = enumerate_nat(g, f)[0]  # h: G => F gives F* => G*, not G* => F*
+    with pytest.raises(ValueError, match="endpoints differ"):
+        conjugate_transform(h, conjugate_presheaf(g), conjugate_presheaf(f))
+
+
 # ---------------------------------------------------------- adjunction
 
 
@@ -154,6 +161,55 @@ def test_adjunction_double_transpose_is_identity(categories, presheaves, copresh
                 fwd, bwd = w.transpose.forward.mapping, w.transpose.backward.mapping
                 assert all(bwd[fwd[k]] == k for k in fwd), name
                 assert all(fwd[bwd[k]] == k for k in bwd), name
+
+
+def _realizer(pair, obj, label):
+    """The evaluation-table family realizing element ``label`` of the conjugate at obj."""
+    return family_of(pair.evaluation_tables[obj][pair.conjugate.at(obj).elements.index(label)])
+
+
+def _assert_curried_pairing(h, pair, transposed, other_pair):
+    """``transposed``: F => G* is h: G => F* curried, where pair is (F, F*) and
+    other_pair is (G, G*): the realizer of transposed_X(s) sends g in G(Y) to
+    alpha_X(s), where alpha realizes h_Y(g)."""
+    f, g = pair.original, other_pair.original
+    objects = f.base.objects
+    for x in objects:
+        for s in f.at(x).elements:
+            expected = {
+                y: {e: _realizer(pair, y, h.components[y](e))[x][s] for e in g.at(y).elements}
+                for y in objects
+            }
+            assert _realizer(other_pair, x, transposed.components[x](s)) == expected, (x, s)
+
+
+def test_transpose_is_the_curried_pairing(categories, presheaves, copresheaves):
+    for name in categories:
+        for f in presheaves[name]:
+            for g in copresheaves[name]:
+                w = adjunction_transpose(f, g)
+                fpair, gpair = w.presheaf_pair, w.copresheaf_pair
+                for h, j in zip(w.left_homset, w.transpose.forward.images):
+                    _assert_curried_pairing(h, fpair, w.right_homset[j], gpair)
+                for h, i in zip(w.right_homset, w.transpose.backward.images):
+                    _assert_curried_pairing(h, gpair, w.left_homset[i], fpair)
+
+
+def test_unit_is_evaluation(categories, presheaves):
+    # unit(F)_X(s) is realized by the transformation F* => z(X) that
+    # evaluates each alpha at s
+    for name in categories:
+        for f in presheaves[name]:
+            u = unit(f)
+            star, dstar = double_conjugate(f)
+            assert u.target == dstar.conjugate, name
+            for x in f.base.objects:
+                for s in f.at(x).elements:
+                    expected = {
+                        y: {a: _realizer(star, y, a)[x][s] for a in star.conjugate.at(y).elements}
+                        for y in f.base.objects
+                    }
+                    assert _realizer(dstar, x, u.components[x](s)) == expected, (name, x, s)
 
 
 def test_adjunction_representable_right_homset_size(categories, copresheaves):

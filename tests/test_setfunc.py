@@ -282,6 +282,23 @@ def test_yoneda_lemma_round_trips(categories, presheaves):
                 assert all(fwd[bwd[k]] == k for k in bwd), (name, x)
 
 
+def test_yoneda_lemma_is_evaluation_and_action(categories, presheaves):
+    # forward is evaluation at the identity, backward a -> (u -> F(u)(a));
+    # the round trips alone would pass a consistently permuted bijection
+    for name, cat in categories.items():
+        for functor in presheaves[name]:
+            for x in cat.objects:
+                wit = yoneda_lemma_bijection(functor, x)
+                forward, backward = wit.bijection.forward, wit.bijection.backward
+                ident = cat.identity_of(x)
+                for label, t in zip(wit.labels.elements, wit.transformations):
+                    assert forward(label) == t.components[x].mapping[ident], (name, x, label)
+                for a in functor.at(x).elements:
+                    t = wit.transformations[wit.labels.elements.index(backward(a))]
+                    expected = {w: {u: functor.act(u)(a) for u in cat.hom_set(w, x)} for w in cat.objects}
+                    assert family_of(t) == expected, (name, x, a)
+
+
 # ---------------------------------------------------------------- sums
 
 
