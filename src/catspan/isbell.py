@@ -55,8 +55,9 @@ class ConjugatePair:
     """A functor together with its conjugate and, for every object, the
     transformations realizing the conjugate's elements. Element ``t<i>``,
     at position i of the conjugate at X, is evaluation_tables[X][i], and
-    index[X] maps that transformation's signature back to i; downstream
-    consumers locate signatures here; ``label_of`` is its label view."""
+    index[X] maps that transformation's signature back to i. Downstream
+    consumers locate signatures there; ``label_of`` is the label view of
+    that lookup."""
 
     original: SetValuedFunctor
     conjugate: SetValuedFunctor
