@@ -7,11 +7,16 @@ that an equality. The extremal functions are exactly the points of the
 injective hull; membership is measured by a two-part defect (admissibility
 slack and tightness gap) and reached by averaging a function with its
 conjugate E(f)(x) = max_x' (d(x, x') - f(x')).
+
+Metric validation is broadcast numpy: the triangle axiom is one n x n
+comparison per row, O(n^3) work in O(n^2) memory. Projection checks
+admissibility once on entry, then follows only the O(n^2) gap per round,
+since averaging an admissible function with its conjugate stays admissible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,13 +64,20 @@ class NoWitnessError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
+    """Points in a fixed order, their distance matrix, and a point ->
+    position index built once."""
+
     points: tuple[str, ...]
     dist: np.ndarray
+    _positions: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_positions", {p: i for i, p in enumerate(self.points)})
 
     def index(self, point: str) -> int:
         try:
-            return self.points.index(point)
-        except ValueError:
+            return self._positions[point]
+        except KeyError:
             raise KeyError(f"unknown point {point!r}") from None
 
     def distance(self, a: str, b: str) -> float:
@@ -112,7 +124,13 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
 
     Shape mismatches raise ValueError; axiom failures raise MetricError
     carrying every violation with a witness tuple. Non-finite entries come
-    first, as axiom ``finite`` with their (row, column) points.
+    first, as axiom ``finite`` with their (row, column) points; then
+    ``negative-entry`` in row-major order, ``nonzero-diagonal``, per pair
+    i < j ``asymmetry`` before ``zero-distance``, and ``triangle`` in
+    (i, j, k) order.
+
+    The triangle check compares all n^3 triples, one row i at a time as an
+    n x n array, so memory stays O(n^2): n = 200 takes tens of milliseconds.
     """
     labels = tuple(points)
     if len(set(labels)) != len(labels):
@@ -126,25 +144,31 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     violations: list[tuple[str, tuple[str, ...]]] = [
         ("finite", (labels[i], labels[j])) for i, j in zip(*np.nonzero(~np.isfinite(d)))
     ]
-    for i in range(n):
-        for j in range(n):
-            if d[i, j] < -tol:
-                violations.append(("negative-entry", (labels[i], labels[j])))
-    for i in range(n):
-        if abs(d[i, i]) > tol:
-            violations.append(("nonzero-diagonal", (labels[i],)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(d[i, j] - d[j, i]) > tol:
-                violations.append(("asymmetry", (labels[i], labels[j])))
-            if d[i, j] <= tol:
-                violations.append(("zero-distance", (labels[i], labels[j])))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i == j or j == k or i == k:
-                    continue
-                if d[i, k] > d[i, j] + d[j, k] + tol:
+    # inf - inf and inf + -inf are NaN (entries already reported as ``finite``)
+    # and sums past the float range are inf; neither is worth a warning. The
+    # comparisons below read NaN as "no violation", as the scalar axioms do.
+    with np.errstate(invalid="ignore", over="ignore"):
+        violations += [
+            ("negative-entry", (labels[i], labels[j])) for i, j in np.argwhere(d < -tol).tolist()
+        ]
+        violations += [
+            ("nonzero-diagonal", (labels[i],)) for i in np.flatnonzero(np.abs(d.diagonal()) > tol)
+        ]
+        asymmetric = np.abs(d - d.T) > tol
+        zero = d <= tol
+        for i, j in np.argwhere(asymmetric | zero).tolist():
+            if i < j:
+                if asymmetric[i, j]:
+                    violations.append(("asymmetry", (labels[i], labels[j])))
+                if zero[i, j]:
+                    violations.append(("zero-distance", (labels[i], labels[j])))
+        # Triangle, one row i at a time: bad[j, k] is d[i,k] > (d[i,j] + d[j,k]) + tol,
+        # summed in the scalar order so borderline cases round the same way.
+        # O(n^3) comparisons in O(n^2) memory; np.argwhere keeps (j, k) order.
+        for i in range(n):
+            bad = d[i][None, :] > (d[i][:, None] + d) + tol
+            for j, k in np.argwhere(bad).tolist():
+                if i != j and j != k and i != k:
                     violations.append(("triangle", (labels[i], labels[j], labels[k])))
     if violations:
         raise MetricError(violations)
@@ -192,6 +216,13 @@ def extremal_project(
     """Project an admissible function onto the extremal set by repeatedly
     averaging it with its conjugate. The defect halves each round, values
     only ever decrease, and already-extremal input is returned unchanged.
+
+    Admissibility is checked once, on entry. Averaging keeps it: if f is
+    admissible then E(f)(x) >= d(x, y) - f(y) for every y, so (f + E f) / 2
+    is admissible too, and the O(n^2) slack need not be recomputed per
+    round. Each round computes the conjugate once, tests only the gap, and
+    feeds the same conjugate into the next average; the full defect,
+    slack included, is checked on an iterate whose gap passes.
     """
     report = extremality_defect(f, tol)
     if not report.admissible:
@@ -202,13 +233,16 @@ def extremal_project(
         raise InadmissibleError(report.slack, (f.space.points[i], f.space.points[j]))
     if report.defect <= tol:
         return f
-    h = f.values.copy()
+    h = f.values
+    c = conjugate_values(f.space, h)
     for _ in range(max_iterations):
-        h = 0.5 * (h + conjugate_values(f.space, h))
-        candidate = DistanceFunction(f.space, np.maximum(h, 0.0))
-        if extremality_defect(candidate, tol).defect <= tol:
-            return candidate
-        h = candidate.values
+        h = np.maximum(0.5 * (h + c), 0.0)
+        c = conjugate_values(f.space, h)
+        # defect = max(slack, gap), so a gap above tol already fails the check.
+        if float((h - c).max()) <= tol:
+            candidate = DistanceFunction(f.space, h)
+            if extremality_defect(candidate, tol).defect <= tol:
+                return candidate
     raise ProjectionError(max_iterations, extremality_defect(DistanceFunction(f.space, h), tol).defect)
 
 

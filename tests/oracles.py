@@ -2,12 +2,18 @@
 
 Nothing here calls the pruned enumerator or the library's naturality
 validator; transformations are represented as plain per-object mapping
-dicts and every square is checked by direct loops.
+dicts and every square is checked by direct loops. The metric oracles
+import nothing from catspan: the axioms are checked by a scalar loop over
+every entry, pair and triple, and the reference projection recomputes the
+full defect, slack included, on every round.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+
+import numpy as np
 
 from catspan import COVARIANT
 
@@ -57,3 +63,59 @@ def family_key(family: dict[str, dict[str, str]]) -> tuple:
     return tuple(
         (obj, tuple(sorted(mapping.items()))) for obj, mapping in sorted(family.items())
     )
+
+
+def brute_force_metric_violations(labels, d, tol) -> list[tuple[str, tuple[str, ...]]]:
+    """Every metric axiom violation, checked entry by entry and triple by
+    triple, in the order the library reports them."""
+    n = len(labels)
+    d = [[float(x) for x in row] for row in d]
+    violations = [
+        ("finite", (labels[i], labels[j]))
+        for i in range(n)
+        for j in range(n)
+        if not math.isfinite(d[i][j])
+    ]
+    for i in range(n):
+        for j in range(n):
+            if d[i][j] < -tol:
+                violations.append(("negative-entry", (labels[i], labels[j])))
+    for i in range(n):
+        if abs(d[i][i]) > tol:
+            violations.append(("nonzero-diagonal", (labels[i],)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(d[i][j] - d[j][i]) > tol:
+                violations.append(("asymmetry", (labels[i], labels[j])))
+            if d[i][j] <= tol:
+                violations.append(("zero-distance", (labels[i], labels[j])))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if i == j or j == k or i == k:
+                    continue
+                if d[i][k] > d[i][j] + d[j][k] + tol:
+                    violations.append(("triangle", (labels[i], labels[j], labels[k])))
+    return violations
+
+
+def reference_projection(d, values, tol, max_iterations) -> tuple[np.ndarray, float, bool]:
+    """Average f with its conjugate E(f)(x) = max_y (d(x, y) - f(y)),
+    clamped at 0, until max(slack, gap) <= tol, recomputing both in full
+    on every round. Returns the last iterate, its defect, and whether it
+    converged within max_iterations rounds."""
+    d = np.asarray(d, dtype=float)
+
+    def defect(h):
+        slack = max(0.0, float((d - h[:, None] - h[None, :]).max()))
+        gap = float((h - (d - h[None, :]).max(axis=1)).max())
+        return max(slack, gap)
+
+    h = np.array(values, dtype=float)
+    rounds = 0
+    while defect(h) > tol:
+        if rounds == max_iterations:
+            return h, defect(h), False
+        h = np.maximum(0.5 * (h + (d - h[None, :]).max(axis=1)), 0.0)
+        rounds += 1
+    return h, defect(h), True

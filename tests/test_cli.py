@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -237,6 +238,8 @@ def test_metric_validate_violation(capsys, tmp_path):
 NON_FINITE = [
     ([[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]], [["a", "b"], ["b", "a"]]),
     ([[0, 1, 1], [1, 0, math.inf], [1, 1, 0]], [["b", "c"]]),
+    ([[0, 1, 1], [1, 0, math.inf], [1, math.inf, 0]], [["b", "c"], ["c", "b"]]),
+    ([[0, 1, 1], [1, 0, -math.inf], [1, -math.inf, 0]], [["b", "c"], ["c", "b"]]),
 ]
 
 
@@ -248,8 +251,11 @@ def _reject_constant(name):
 def test_non_finite_distances_are_violations(capsys, tmp_path, matrix, witnesses):
     path = tmp_path / "nonfinite.metric.json"
     path.write_text(json.dumps({"format": 1, "kind": "metric", "points": ["a", "b", "c"], "d": matrix}))
-    code, out, err = run(capsys, "metric-validate", str(path), "--format", "structured")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "metric-validate", str(path), "--format", "structured")
     assert code == 1
+    assert err == "" and caught == []  # no numpy RuntimeWarning from inf - inf
     violations = json.loads(out, parse_constant=_reject_constant)["results"]["violations"]
     assert violations[: len(witnesses)] == [{"axiom": "finite", "witness": w} for w in witnesses]
     assert all(v["axiom"] != "finite" for v in violations[len(witnesses):])

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from catspan import (
     DistanceFunction,
     InadmissibleError,
     MetricError,
     NoWitnessError,
+    ProjectionError,
     extremal_project,
     extremality_defect,
     geodesic_witness,
@@ -18,6 +19,7 @@ from catspan import (
     tripod,
     validate_metric,
 )
+from oracles import brute_force_metric_violations, reference_projection
 
 TOL = 1e-9
 
@@ -62,6 +64,65 @@ def test_axiom_violations_named():
 def test_shape_mismatch_is_not_an_axiom_failure():
     with pytest.raises(ValueError):
         validate_metric(["a", "b"], [[0, 1, 2], [1, 0, 1]])
+
+
+def _violations(labels, d):
+    try:
+        validate_metric(labels, d)
+    except MetricError as err:
+        return err.violations
+    return []
+
+
+# Non-finite, negative, near-zero, exact-zero and ordinary entries; drawn
+# independently they also give asymmetric pairs and triangle failures.
+ENTRY_POOL = [math.nan, math.inf, -math.inf, -1.0, -1e-10, 0.0, 1e-10, 1.0, 2.0, 3.5]
+
+
+@st.composite
+def raw_matrices(draw):
+    n = draw(st.integers(0, 7))
+    entries = draw(st.lists(st.sampled_from(ENTRY_POOL), min_size=n * n, max_size=n * n))
+    d = np.array(entries, dtype=float).reshape(n, n)
+    if draw(st.booleans()):
+        below = np.arange(n)[:, None] > np.arange(n)[None, :]
+        d = np.where(below, d.T, d)
+    if draw(st.booleans()):
+        np.fill_diagonal(d, 0.0)
+    return d
+
+
+# d(x, z) = (0.1 + 0.2) + tol exactly: a metric when the triangle sum is
+# associated as (d(x,y) + d(y,z)) + tol, a violation under 0.1 + (0.2 + tol).
+BORDERLINE_TRIANGLE = np.array([[0.0, 0.1, 0.1 + 0.2 + TOL], [0.1, 0.0, 0.2], [0.1 + 0.2 + TOL, 0.2, 0.0]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw_matrices())
+@example(BORDERLINE_TRIANGLE)
+def test_violations_match_loop_oracle(d):
+    labels = [f"p{i}" for i in range(len(d))]
+    assert _violations(labels, d) == brute_force_metric_violations(labels, d, TOL)
+
+
+def test_violations_match_loop_oracle_on_planted_l1_cloud():
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(0.0, 10.0, size=(100, 3))
+    d = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+    d[17, 62] = d[62, 17] = 3.0 * d[17, 62]
+    labels = [f"q{i}" for i in range(100)]
+    violations = _violations(labels, d)
+    assert violations and {axiom for axiom, _ in violations} == {"triangle"}
+    assert violations == brute_force_metric_violations(labels, d, TOL)
+
+
+def test_unknown_point_raises_key_error(metrics):
+    space = metrics["two_point"]
+    assert space.index("x2") == 1
+    with pytest.raises(KeyError, match="unknown point 'nowhere'"):
+        space.index("nowhere")
+    with pytest.raises(KeyError, match="unknown point 'nowhere'"):
+        space.distance("x1", "nowhere")
 
 
 # ---------------------------------------------------------- embedding
@@ -124,6 +185,38 @@ def test_project_rejects_inadmissible(metrics):
     f = DistanceFunction(metrics["two_point"], np.array([0.5, 1.0]))
     with pytest.raises(InadmissibleError):
         extremal_project(f)
+
+
+def _admissible_start(n, seed):
+    """An L1 cloud in the plane and an embedded point raised by a
+    nonnegative perturbation, which keeps it admissible."""
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 10.0, size=(n, 2))
+    space = validate_metric(
+        [f"q{i}" for i in range(n)], np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+    )
+    anchor = int(rng.integers(n))
+    return DistanceFunction(space, space.dist[anchor] + rng.uniform(0.0, space.diameter, n))
+
+
+@pytest.mark.parametrize("n", [3, 10, 50])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_project_matches_full_defect_oracle(n, seed):
+    f = _admissible_start(n, seed)
+    expected, _, converged = reference_projection(f.space.dist, f.values, TOL, 10_000)
+    assert converged
+    assert np.array_equal(extremal_project(f, TOL).values, expected)
+
+
+@pytest.mark.parametrize("max_iterations", [0, 1, 3])
+def test_projection_error_matches_full_defect_oracle(max_iterations):
+    f = _admissible_start(10, 4)
+    _, defect, converged = reference_projection(f.space.dist, f.values, TOL, max_iterations)
+    assert not converged
+    with pytest.raises(ProjectionError) as err:
+        extremal_project(f, TOL, max_iterations)
+    assert err.value.iterations == max_iterations
+    assert err.value.defect == defect
 
 
 def test_project_345_postconditions(metrics):
