@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .fileformat import (
     ParseError,
     functor_to_dict,
@@ -43,19 +41,6 @@ from .setfunc import (
     pointwise_sum,
     yoneda,
     yoneda_lemma_bijection,
-)
-from .tightspan import (
-    DistanceFunction,
-    InadmissibleError,
-    MetricError,
-    NoWitnessError,
-    ProjectionError,
-    extremal_project,
-    extremality_defect,
-    geodesic_witness,
-    sample_tight_span,
-    tripod,
-    validate_metric,
 )
 
 
@@ -104,7 +89,13 @@ def _require_variance(functor, variance: str, path: str, subcommand: str):
         raise InputError(f"{path}: {subcommand} expects a {expected}-variant functor")
 
 
+# The metric handlers import ``.tightspan`` when called, so that only they
+# pay for importing numpy.
+
+
 def _load_valid_metric(path: str, tol: float):
+    from .tightspan import MetricError, validate_metric
+
     points, matrix = load_metric_document(path)
     try:
         return validate_metric(points, matrix, tol)
@@ -113,11 +104,13 @@ def _load_valid_metric(path: str, tol: float):
         raise InputError(f"{path}: not a valid metric ({first[0]} at {first[1]}); run metric-validate") from None
 
 
-def _parse_values(space, raw_values: list[float], path: str) -> DistanceFunction:
+def _parse_values(space, raw_values: list[float], path: str):
+    from .tightspan import DistanceFunction
+
     if len(raw_values) != len(space.points):
         raise InputError(f"{path} has {len(space.points)} points but {len(raw_values)} values were given")
     try:
-        return DistanceFunction(space, np.array(raw_values, dtype=float))
+        return DistanceFunction(space, raw_values)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -273,6 +266,8 @@ def _cmd_reflexive_scan(args, config, budget):
 
 
 def _cmd_metric_validate(args, config, budget):
+    from .tightspan import MetricError, validate_metric
+
     points, matrix = load_metric_document(args.file)
     try:
         space = validate_metric(points, matrix, config.tol)
@@ -285,6 +280,8 @@ def _cmd_metric_validate(args, config, budget):
 
 
 def _cmd_tripod(args, config, budget):
+    from .tightspan import extremality_defect, tripod
+
     space = _load_valid_metric(args.file, config.tol)
     if len(space.points) != 3:
         raise InputError(f"tripod needs a 3-point metric, {args.file} has {len(space.points)} points")
@@ -297,6 +294,8 @@ def _cmd_tripod(args, config, budget):
 
 
 def _cmd_project(args, config, budget):
+    from .tightspan import InadmissibleError, ProjectionError, extremal_project, extremality_defect
+
     space = _load_valid_metric(args.file, config.tol)
     f = _parse_values(space, args.values, args.file)
     try:
@@ -324,6 +323,8 @@ def _cmd_project(args, config, budget):
 
 
 def _cmd_geodesic_check(args, config, budget):
+    from .tightspan import NoWitnessError, extremality_defect, geodesic_witness, sample_tight_span
+
     space = _load_valid_metric(args.file, config.tol)
     if args.values:
         f = _parse_values(space, args.values, args.file)
@@ -356,6 +357,8 @@ def _cmd_geodesic_check(args, config, budget):
 
 
 def _cmd_sample_span(args, config, budget):
+    from .tightspan import sample_tight_span
+
     space = _load_valid_metric(args.file, config.tol)
     samples = sample_tight_span(space, args.count, config.seed, config.tol)
     return True, {
@@ -467,14 +470,22 @@ def _render_text(value, indent: int = 0) -> list[str]:
 
 
 def _sanitize(value):
-    """Make results JSON-clean: plain floats, ints, strings, bools."""
-    if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
+    """Make results JSON-clean: plain floats, ints, strings, bools. A numpy
+    scalar can exist only once numpy is loaded, which only the metric
+    subcommands do, so its types are looked up once per report."""
+    np = sys.modules.get("numpy")
+    scalars = (np.floating, np.integer) if np is not None else ()
+
+    def clean(value):
+        if isinstance(value, dict):
+            return {k: clean(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [clean(v) for v in value]
+        if isinstance(value, scalars):
+            return value.item()
+        return value
+
+    return clean(value)
 
 
 def _emit(report: dict, config: RunConfig, elapsed: float) -> None:
