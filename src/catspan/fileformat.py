@@ -34,21 +34,23 @@ class ParseError(ValueError):
         self.detail = detail
 
 
-# The log of the innermost ``recording_reads`` block, if any: a context variable,
-# so that every loader and the category file a functor references are covered.
-_reads: ContextVar[list | None] = ContextVar("catspan_reads", default=None)
+# The innermost ``recording_reads`` block, if any: its log of reads and the
+# lawful categories it has loaded, by resolved path. A context variable, so
+# that every loader and the category file a functor references are covered.
+_block: ContextVar[tuple[list, dict] | None] = ContextVar("catspan_reads", default=None)
 
 
 @contextmanager
 def recording_reads():
     """Collect ``(path, bytes)`` for every document read inside the block,
-    in read order."""
+    in read order. Inside the block a category file is read and law-checked
+    once, however many documents reference it, so they share one base."""
     reads: list[tuple[str, bytes]] = []
-    token = _reads.set(reads)
+    token = _block.set((reads, {}))
     try:
         yield reads
     finally:
-        _reads.reset(token)
+        _block.reset(token)
 
 
 def read_document(path: str | Path) -> dict:
@@ -57,9 +59,9 @@ def read_document(path: str | Path) -> dict:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(source, "<file>", str(exc)) from None
-    reads = _reads.get()
-    if reads is not None:
-        reads.append((source, data))
+    block = _block.get()
+    if block is not None:
+        block[0].append((source, data))
     try:
         doc = json.loads(data.decode())
     except json.JSONDecodeError as exc:
@@ -145,8 +147,15 @@ def _require_laws(category: FinCategory, source: str) -> FinCategory:
 
 def load_lawful_category(path: str | Path) -> FinCategory:
     """Parse a category file and check every category law; the first
-    violation is a ParseError that names the law and its witness."""
-    return _require_laws(load_category(path), str(path))
+    violation is a ParseError that names the law and its witness. Inside a
+    ``recording_reads`` block each file is loaded once."""
+    block = _block.get()
+    if block is None:
+        return _require_laws(load_category(path), str(path))
+    loaded, key = block[1], Path(path).resolve()
+    if key not in loaded:
+        loaded[key] = _require_laws(load_category(path), str(path))
+    return loaded[key]
 
 
 def parse_functor(doc: dict, source: str, category: FinCategory | None = None,

@@ -7,6 +7,7 @@ import pytest
 
 from catspan.cli import main
 from catspan.corpus import fixture_path
+from catspan.fileformat import load_functor, recording_reads
 
 
 def run(capsys, *argv):
@@ -366,7 +367,7 @@ def test_input_digest_covers_the_referenced_category(capsys, tmp_path):
         f, c = tmp_path / name / "f.json", tmp_path / name / "c.json"
         f.write_bytes(functor)
         c.write_text(json.dumps(category, indent=indent))
-        for argv, read in ((["validate-fun", str(f)], [f, c]), (["nat", str(f), str(f)], [f, c, f, c])):
+        for argv, read in ((["validate-fun", str(f)], [f, c]), (["nat", str(f), str(f)], [f, c, f])):
             code, out, err = run(capsys, *argv, "--format", "structured")
             assert code == 0, err
             inputs = json.loads(out)["inputs"]
@@ -374,6 +375,18 @@ def test_input_digest_covers_the_referenced_category(capsys, tmp_path):
             assert inputs["sha256"] == hashlib.sha256(b"".join(path.read_bytes() for path in read)).hexdigest()
         digests.append(inputs["sha256"])
     assert digests[0] != digests[1]
+
+
+def test_shared_category_is_loaded_once(capsys):
+    code, out, err = run(capsys, "nat", fx("z2_regular.presheaf.json"), fx("z2_regular.presheaf.json"), "--format", "structured")
+    assert code == 0, err
+    paths = json.loads(out)["inputs"]["paths"]
+    assert paths == [fx("z2_regular.presheaf.json"), fx("z2.category.json"), fx("z2_regular.presheaf.json")]
+    with recording_reads():
+        left, right = load_functor(fx("z2_regular.presheaf.json")), load_functor(fx("z2_regular.copresheaf.json"))
+    assert left.base is right.base
+    # Outside a block every load is its own.
+    assert load_functor(fx("z2_regular.presheaf.json")).base is not left.base
 
 
 def test_deep_nat_is_not_limited_by_recursion(capsys, tmp_path):
