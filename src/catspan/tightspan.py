@@ -26,10 +26,16 @@ MAX_ITERATIONS = 10_000
 
 
 class MetricError(ValueError):
-    """Metric axiom violations, each with a witness point tuple."""
+    """Metric axiom violations, each with a witness point tuple. The message
+    names the first few, since an n-point matrix can break O(n^3) triangles;
+    ``violations`` holds them all."""
+
+    SHOWN = 5
 
     def __init__(self, violations: list[tuple[str, tuple[str, ...]]]):
-        lines = ", ".join(f"{axiom} at {witness}" for axiom, witness in violations)
+        lines = ", ".join(f"{axiom} at {witness}" for axiom, witness in violations[: self.SHOWN])
+        if len(violations) > self.SHOWN:
+            lines += f", and {len(violations) - self.SHOWN} more ({len(violations)} in all)"
         super().__init__(f"not a metric: {lines}")
         self.violations = violations
 

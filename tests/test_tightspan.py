@@ -116,6 +116,23 @@ def test_violations_match_loop_oracle_on_planted_l1_cloud():
     assert violations == brute_force_metric_violations(labels, d, TOL)
 
 
+def test_metric_error_message_is_bounded():
+    rng = np.random.default_rng(0)
+    d = rng.uniform(1.0, 10.0, size=(80, 80))
+    d = (d + d.T) / 2
+    np.fill_diagonal(d, 0.0)
+    labels = [f"p{i}" for i in range(80)]
+    with pytest.raises(MetricError) as err:
+        validate_metric(labels, d)
+    expected = brute_force_metric_violations(labels, d, TOL)
+    assert err.value.violations == expected
+    assert len(expected) > 1000
+    message = str(err.value)
+    assert len(message) < 400
+    assert message.startswith(f"not a metric: {expected[0][0]} at {expected[0][1]}, ")
+    assert message.endswith(f", and {len(expected) - MetricError.SHOWN} more ({len(expected)} in all)")
+
+
 def test_unknown_point_raises_key_error(metrics):
     space = metrics["two_point"]
     assert space.index("x2") == 1
