@@ -377,8 +377,8 @@ def enumerate_nat(
     target-set order) and propagates each assignment through every
     naturality constraint before descending, so inconsistent branches are
     pruned at the first definite conflict. Every forced or attempted
-    assignment charges the budget; exhausting it raises BudgetExceeded
-    rather than truncating silently.
+    assignment costs one unit of budget, charged once per propagation;
+    exhausting it raises BudgetExceeded rather than truncating silently.
     """
     _require_parallel(source, target)
     b = Budget.coerce(budget)
@@ -413,18 +413,21 @@ def enumerate_nat(
 
     def force(slot: int, value: int, trail: list[int]) -> bool:
         stack = [(slot, value)]
+        count = 0
         while stack:
             i, v = stack.pop()
-            b.charge()
+            count += 1
             current = values[i]
             if current is not None:
                 if current != v:
+                    b.charge(count)
                     return False
                 continue
             values[i] = v
             trail.append(i)
             for j, gu in edges[i]:
                 stack.append((j, gu[v]))
+        b.charge(count)
         return True
 
     def snapshot() -> NatTransformation:

@@ -3,6 +3,7 @@ import pytest
 from catspan import (
     CONTRAVARIANT,
     COVARIANT,
+    Budget,
     BudgetExceeded,
     FinSet,
     FunctorLawError,
@@ -167,6 +168,29 @@ def test_budget_exceeded_reports_cap(presheaves):
     with pytest.raises(BudgetExceeded) as err:
         enumerate_nat(f, f, budget=1)
     assert err.value.cap == 1
+
+
+def test_budget_cap_is_exact(categories, presheaves, copresheaves):
+    # A search that used n units finishes under cap n and raises under n - 1.
+    checked = 0
+    for name, category in categories.items():
+        pool = presheaves[name] + copresheaves[name]
+        pool += [yoneda(category, x) for x in category.objects] + [coyoneda(category, x) for x in category.objects]
+        for f in pool:
+            for g in pool:
+                if f.variance != g.variance:
+                    continue
+                budget = Budget()
+                expected = [family_of(t) for t in enumerate_nat(f, g, budget)]
+                if budget.used < 2:
+                    continue
+                exact = Budget(budget.used)
+                assert [family_of(t) for t in enumerate_nat(f, g, exact)] == expected
+                assert exact.used == budget.used
+                with pytest.raises(BudgetExceeded):
+                    enumerate_nat(f, g, Budget(budget.used - 1))
+                checked += 1
+    assert checked >= 40
 
 
 # ---------------------------------------------------------- representables
