@@ -34,10 +34,11 @@ class ParseError(ValueError):
         self.detail = detail
 
 
-# The innermost ``recording_reads`` block, if any: its log of reads and the
-# lawful categories it has loaded, by resolved path. A context variable, so
-# that every loader and the category file a functor references are covered.
-_block: ContextVar[tuple[list, dict] | None] = ContextVar("catspan_reads", default=None)
+# The log of the innermost ``recording_reads`` block, if any, and the lawful
+# categories it has loaded, by resolved path: context variables, so that every
+# loader and the category file a functor references are covered.
+_reads: ContextVar[list | None] = ContextVar("catspan_reads", default=None)
+_categories: ContextVar[dict | None] = ContextVar("catspan_categories", default=None)
 
 
 @contextmanager
@@ -46,11 +47,12 @@ def recording_reads():
     in read order. Inside the block a category file is read and law-checked
     once, however many documents reference it, so they share one base."""
     reads: list[tuple[str, bytes]] = []
-    token = _block.set((reads, {}))
+    reads_token, categories_token = _reads.set(reads), _categories.set({})
     try:
         yield reads
     finally:
-        _block.reset(token)
+        _reads.reset(reads_token)
+        _categories.reset(categories_token)
 
 
 def read_document(path: str | Path) -> dict:
@@ -59,9 +61,9 @@ def read_document(path: str | Path) -> dict:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(source, "<file>", str(exc)) from None
-    block = _block.get()
-    if block is not None:
-        block[0].append((source, data))
+    reads = _reads.get()
+    if reads is not None:
+        reads.append((source, data))
     try:
         doc = json.loads(data.decode())
     except json.JSONDecodeError as exc:
@@ -149,10 +151,10 @@ def load_lawful_category(path: str | Path) -> FinCategory:
     """Parse a category file and check every category law; the first
     violation is a ParseError that names the law and its witness. Inside a
     ``recording_reads`` block each file is loaded once."""
-    block = _block.get()
-    if block is None:
+    loaded = _categories.get()
+    if loaded is None:
         return _require_laws(load_category(path), str(path))
-    loaded, key = block[1], Path(path).resolve()
+    key = Path(path).resolve()
     if key not in loaded:
         loaded[key] = _require_laws(load_category(path), str(path))
     return loaded[key]
