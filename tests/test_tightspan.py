@@ -131,6 +131,9 @@ def test_metric_error_message_is_bounded():
     assert len(message) < 400
     assert message.startswith(f"not a metric: {expected[0][0]} at {expected[0][1]}, ")
     assert message.endswith(f", and {len(expected) - MetricError.SHOWN} more ({len(expected)} in all)")
+    # Up to SHOWN violations are all named, with no count.
+    with pytest.raises(MetricError, match=r"^not a metric: triangle at \('1', '2', '3'\), triangle at \('3', '2', '1'\)$"):
+        validate_metric(["1", "2", "3"], [[0, 1, 10], [1, 0, 1], [10, 1, 0]])
 
 
 def test_unknown_point_raises_key_error(metrics):
