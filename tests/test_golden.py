@@ -4,8 +4,10 @@ Each case runs ``catspan.cli.main`` from the directory holding its inputs,
 so the reported input paths are the bare file names, and compares stdout
 with ``tests/golden/<case>.json``. The corpus cases are the criterion-7
 suite of ``test_acceptance``; the others run ``unit``, ``conjugate`` and
-``adjunction-check`` on sums of two representables over Z3 and Z4, whose
-documents live in ``tests/golden/inputs``.
+``adjunction-check`` on sums of two representables over Z3 and Z4, and
+``reflexive-scan`` at set size 2 on ``square`` and on a 3-object chain
+whose composite is declared before its two factors. The documents not in
+the fixtures live in ``tests/golden/inputs``.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -50,6 +52,10 @@ for _n in (3, 4):
         (f"z{_n}-conjugate-zz", INPUTS, ["conjugate", f"z{_n}_zz.copresheaf.json"]),
         (f"z{_n}-adjunction-yy-zz", INPUTS, ["adjunction-check", f"z{_n}_yy.presheaf.json", f"z{_n}_zz.copresheaf.json"]),
     ]
+CASES += [
+    ("scan-square-2", FIXTURES, ["reflexive-scan", "square.category.json", "--max-set-size", "2"]),
+    ("scan-chain3-2", INPUTS, ["reflexive-scan", "chain3.category.json", "--max-set-size", "2"]),
+]
 
 
 def run_case(cwd: Path, argv: list[str]) -> tuple[int, bytes]:
@@ -104,11 +110,31 @@ def _cyclic_documents(n: int) -> dict[str, dict]:
     }
 
 
+def _chain_document() -> dict:
+    """The poset a < b < c, with the composite ac declared before ab and bc."""
+    objects = ["a", "b", "c"]
+    pairs = [("a", "a"), ("b", "b"), ("c", "c"), ("a", "c"), ("a", "b"), ("b", "c")]
+    label = {pair: f"{pair[0]}{pair[1]}" if pair[0] != pair[1] else f"id_{pair[0]}" for pair in pairs}
+    return {
+        "format": 1,
+        "kind": "category",
+        "objects": objects,
+        "morphisms": [{"id": label[(s, t)], "src": s, "tgt": t} for s, t in pairs],
+        "identities": {x: label[(x, x)] for x in objects},
+        "compose": [
+            [label[(y, z)], label[(x, y2)], label[(x, z)]]
+            for (y, z) in pairs for (x, y2) in pairs if y2 == y
+        ],
+    }
+
+
 if __name__ == "__main__":
     INPUTS.mkdir(parents=True, exist_ok=True)
+    documents = {"chain3.category.json": _chain_document()}
     for n in (3, 4):
-        for filename, doc in _cyclic_documents(n).items():
-            (INPUTS / filename).write_text(json.dumps(doc, indent=1) + "\n")
+        documents.update(_cyclic_documents(n))
+    for filename, doc in documents.items():
+        (INPUTS / filename).write_text(json.dumps(doc, indent=1) + "\n")
     for name, cwd, argv in CASES:
         code, produced = run_case(cwd, argv)
         if code != 0:
