@@ -35,24 +35,39 @@ class ParseError(ValueError):
 
 
 # The log of the innermost ``recording_reads`` block, if any, and the lawful
-# categories it has loaded, by resolved path: context variables, so that every
-# loader and the category file a functor references are covered.
+# categories and functors it has loaded, by kind and resolved path: context
+# variables, so that every loader and the category file a functor references
+# are covered.
 _reads: ContextVar[list | None] = ContextVar("catspan_reads", default=None)
-_categories: ContextVar[dict | None] = ContextVar("catspan_categories", default=None)
+_loaded: ContextVar[dict | None] = ContextVar("catspan_loaded", default=None)
 
 
 @contextmanager
 def recording_reads():
     """Collect ``(path, bytes)`` for every document read inside the block,
-    in read order. Inside the block a category file is read and law-checked
-    once, however many documents reference it, so they share one base."""
+    in read order. Inside the block a category or functor file is read and
+    law-checked once, however many arguments or documents name it: documents
+    referencing one category share one base, and a functor named twice is
+    one object."""
     reads: list[tuple[str, bytes]] = []
-    reads_token, categories_token = _reads.set(reads), _categories.set({})
+    reads_token, loaded_token = _reads.set(reads), _loaded.set({})
     try:
         yield reads
     finally:
         _reads.reset(reads_token)
-        _categories.reset(categories_token)
+        _loaded.reset(loaded_token)
+
+
+def _once(kind: str, path: str | Path, load):
+    """``load()``, called once per kind and resolved path inside a
+    ``recording_reads`` block and on every call outside one."""
+    loaded = _loaded.get()
+    if loaded is None:
+        return load()
+    key = (kind, Path(path).resolve())
+    if key not in loaded:
+        loaded[key] = load()
+    return loaded[key]
 
 
 def read_document(path: str | Path) -> dict:
@@ -151,13 +166,7 @@ def load_lawful_category(path: str | Path) -> FinCategory:
     """Parse a category file and check every category law; the first
     violation is a ParseError that names the law and its witness. Inside a
     ``recording_reads`` block each file is loaded once."""
-    loaded = _categories.get()
-    if loaded is None:
-        return _require_laws(load_category(path), str(path))
-    key = Path(path).resolve()
-    if key not in loaded:
-        loaded[key] = _require_laws(load_category(path), str(path))
-    return loaded[key]
+    return _once("category", path, lambda: _require_laws(load_category(path), str(path)))
 
 
 def parse_functor(doc: dict, source: str, category: FinCategory | None = None,
@@ -199,8 +208,14 @@ def parse_functor(doc: dict, source: str, category: FinCategory | None = None,
 
 
 def load_functor(path: str | Path, category: FinCategory | None = None) -> SetValuedFunctor:
+    """Parse and validate a functor file. Inside a ``recording_reads`` block
+    a file whose category is read from the document is loaded once."""
     p = Path(path)
-    return parse_functor(read_document(path), str(p), category, p.parent)
+
+    def load() -> SetValuedFunctor:
+        return parse_functor(read_document(path), str(p), category, p.parent)
+
+    return load() if category is not None else _once("functor", path, load)
 
 
 def parse_metric(doc: dict, source: str) -> tuple[list[str], list[list[float]]]:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -367,7 +368,7 @@ def test_input_digest_covers_the_referenced_category(capsys, tmp_path):
         f, c = tmp_path / name / "f.json", tmp_path / name / "c.json"
         f.write_bytes(functor)
         c.write_text(json.dumps(category, indent=indent))
-        for argv, read in ((["validate-fun", str(f)], [f, c]), (["nat", str(f), str(f)], [f, c, f])):
+        for argv, read in ((["validate-fun", str(f)], [f, c]), (["nat", str(f), str(f)], [f, c])):
             code, out, err = run(capsys, *argv, "--format", "structured")
             assert code == 0, err
             inputs = json.loads(out)["inputs"]
@@ -378,15 +379,28 @@ def test_input_digest_covers_the_referenced_category(capsys, tmp_path):
 
 
 def test_shared_category_is_loaded_once(capsys):
-    code, out, err = run(capsys, "nat", fx("z2_regular.presheaf.json"), fx("z2_regular.presheaf.json"), "--format", "structured")
+    code, out, err = run(capsys, "nat", fx("z2_regular.presheaf.json"), fx("z2_two_fixed.presheaf.json"), "--format", "structured")
     assert code == 0, err
     paths = json.loads(out)["inputs"]["paths"]
-    assert paths == [fx("z2_regular.presheaf.json"), fx("z2.category.json"), fx("z2_regular.presheaf.json")]
+    assert paths == [fx("z2_regular.presheaf.json"), fx("z2.category.json"), fx("z2_two_fixed.presheaf.json")]
     with recording_reads():
         left, right = load_functor(fx("z2_regular.presheaf.json")), load_functor(fx("z2_regular.copresheaf.json"))
     assert left.base is right.base
     # Outside a block every load is its own.
     assert load_functor(fx("z2_regular.presheaf.json")).base is not left.base
+
+
+def test_same_functor_document_is_loaded_once(capsys, tmp_path):
+    f, c = tmp_path / "f.json", tmp_path / "c.json"
+    c.write_bytes(Path(fx("z2.category.json")).read_bytes())
+    f.write_text(json.dumps({**json.loads(Path(fx("z2_regular.presheaf.json")).read_text()), "category": "c.json"}))
+    code, out, err = run(capsys, "nat", str(f), str(f), "--format", "structured")
+    assert code == 0, err
+    assert json.loads(out)["inputs"]["paths"] == [str(f), str(c)]
+    with recording_reads():
+        left, right = load_functor(f), load_functor(tmp_path / "." / "f.json")
+    assert left is right
+    assert load_functor(f) is not left
 
 
 def test_deep_nat_is_not_limited_by_recursion(capsys, tmp_path):
