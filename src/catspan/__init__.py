@@ -12,6 +12,7 @@ from .fincat import (
     UnknownObjectError,
     ValidationReport,
     Violation,
+    generators,
     opposite,
     validate_category,
 )

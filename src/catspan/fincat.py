@@ -207,3 +207,45 @@ def opposite(category: FinCategory) -> FinCategory:
         )
         op._memo["opposite"], category._memo["opposite"] = category, op
     return category._memo["opposite"]
+
+
+def generators(category: FinCategory) -> tuple[tuple[str, ...], tuple[tuple[str, str, str], ...]]:
+    """An irredundant set of non-identity morphisms whose composites give
+    every non-identity morphism, in declaration order, and each other
+    non-identity morphism r as a derivation ``(r, g, f)`` with
+    ``table[(g, f)] == r``, where g and f are generators or derived earlier.
+
+    Built by deletion: walking the non-identity morphisms in declaration
+    order, a morphism is dropped when the composites of the morphisms still
+    kept reach it. (Keeping a morphism unless those kept before it reach it
+    would keep a composite declared before its factors.) Built once per
+    category.
+    """
+    if "generators" not in category._memo:
+        kept = [m.label for m in category.morphisms if not category.is_identity(m.label)]
+        for label in tuple(kept):
+            others = [k for k in kept if k != label]
+            if label in _derivations(category, others):
+                kept = others
+        category._memo["generators"] = (tuple(kept), tuple(_derivations(category, kept).values()))
+    return category._memo["generators"]
+
+
+def _derivations(category: FinCategory, gens: list[str]) -> dict[str, tuple[str, str, str]]:
+    """Every non-identity morphism outside ``gens`` that composites of
+    ``gens`` reach, mapped to a derivation (r, g, f): f in ``gens`` and g in
+    ``gens`` or reached before r."""
+    reached = set(gens)
+    derived: dict[str, tuple[str, str, str]] = {}
+    queue = list(gens)
+    for g in queue:  # the queue grows while it is walked
+        src = category.morphism(g).src
+        for f in gens:
+            if category.morphism(f).tgt != src:
+                continue
+            r = category.table[(g, f)]
+            if r not in reached and not category.is_identity(r):
+                reached.add(r)
+                derived[r] = (r, g, f)
+                queue.append(r)
+    return derived

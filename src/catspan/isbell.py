@@ -18,6 +18,12 @@ the conjugate's action, conjugate_transform and the transpose compute each
 signature they need from the tables and locate it there, without building
 the transformation. One transpose routine serves both directions of the
 adjunction, and the unit is the transpose of the identity of the conjugate.
+
+Actions are computed on the generating morphisms of the base
+(``fincat.generators``) and composed along the derivations for the rest:
+the conjugate's action, and each candidate of the reflexive scan, which
+charges one unit of budget per candidate, a choice of action for each
+generator. The functor-law check that follows covers every composite.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from operator import getitem
 
-from .fincat import FinCategory
+from .fincat import FinCategory, generators
 from .setfunc import (
     CONTRAVARIANT,
     COVARIANT,
@@ -38,6 +44,7 @@ from .setfunc import (
     SetFunction,
     SetValuedFunctor,
     component_signature,
+    compose_functions,
     coyoneda,
     dual,
     enumerate_nat,
@@ -82,9 +89,12 @@ def _labels(n: int) -> FinSet:
 
 def _conjugate(presheaf: SetValuedFunctor, budget: Budget) -> ConjugatePair:
     """Object X carries the transformations presheaf => y(X), labeled t0,
-    t1, ... in enumeration order. A morphism u: X -> Y acts by
-    postcomposition with y(u): y(X) => y(Y), slot by slot."""
+    t1, ... in enumeration order. A generating morphism u: X -> Y acts by
+    postcomposition with y(u): y(X) => y(Y), slot by slot; every other
+    action is the composite along its derivation, and validate_functor
+    checks every composite."""
     base = presheaf.base
+    gens, derivations = generators(base)
     tables = {obj: enumerate_nat(presheaf, yoneda(base, obj), budget) for obj in base.objects}
     # Signatures are distinct, so each index lists them in table order.
     index = {
@@ -93,11 +103,14 @@ def _conjugate(presheaf: SetValuedFunctor, budget: Budget) -> ConjugatePair:
     }
     on_objects = {obj: _labels(len(tables[obj])) for obj in base.objects}
     on_morphisms = {}
-    for m in base.morphisms:
-        u = yoneda_on_morphism(base, m.label)
+    for label in gens:
+        m = base.morphism(label)
+        u = yoneda_on_morphism(base, label)
         slots = [u.components[a].images for a in base.objects for _ in presheaf.at(a).elements]
         images = tuple(_locate(index, m.tgt, tuple(map(getitem, slots, sig))) for sig in index[m.src])
-        on_morphisms[m.label] = SetFunction._trusted(on_objects[m.src], on_objects[m.tgt], images)
+        on_morphisms[label] = SetFunction._trusted(on_objects[m.src], on_objects[m.tgt], images)
+    for r, g, f in derivations:
+        on_morphisms[r] = compose_functions(on_morphisms[g], on_morphisms[f])
     conjugate = validate_functor(base, COVARIANT, on_objects, on_morphisms)
     return ConjugatePair(presheaf, conjugate, tables, index)
 
@@ -275,13 +288,22 @@ def reflexive_scan(
     """Enumerate every contravariant functor with value sets of at most the
     given size (structural duplicates included, isomorphic ones not merged),
     compute the comparison into its double conjugate, and report whether it
-    is an isomorphism. Value-set size vectors and morphism actions are both
-    swept in lexicographic order, so the report order is deterministic.
+    is an isomorphism.
+
+    A candidate picks an action for each generating morphism of the
+    category, derives every other action along its derivation, F(g . f) =
+    F(f) . F(g), and is kept when validate_functor accepts it, which checks
+    every relation of the composition table. Each candidate costs one unit
+    of budget. Value-set size vectors are swept in lexicographic order, and
+    within one the functors are reported in lexicographic order of the
+    actions of every non-identity morphism in declaration order, so the
+    report order is deterministic.
     """
     if max_set_size < 0:
         raise ValueError("max_set_size must be nonnegative")
     b = Budget.coerce(budget)
-    non_identity = [m for m in category.morphisms if not category.is_identity(m.label)]
+    gens, derivations = generators(category)
+    non_identity = [m.label for m in category.morphisms if not category.is_identity(m.label)]
     verdicts: list[ReflexiveVerdict] = []
 
     for sizes in itertools.product(range(max_set_size + 1), repeat=len(category.objects)):
@@ -290,32 +312,30 @@ def reflexive_scan(
             for obj, n in zip(category.objects, sizes)
         }
         choice_lists = []
-        feasible = True
-        for m in non_identity:
+        for label in gens:
+            m = category.morphism(label)
             dom, cod = on_objects[m.tgt], on_objects[m.src]  # contravariant action
             functions = [
                 SetFunction._trusted(dom, cod, pick)
                 for pick in itertools.product(range(len(cod)), repeat=len(dom))
             ]
             if not functions:
-                feasible = False
                 break
             choice_lists.append(functions)
-        if not feasible:
-            continue
-        for picks in itertools.product(*choice_lists):
-            b.charge()
-            on_morphisms = {m.label: pick for m, pick in zip(non_identity, picks)}
-            try:
-                functor = validate_functor(category, CONTRAVARIANT, on_objects, on_morphisms)
-            except FunctorLawError:
-                continue
-            comparison = unit(functor, b)
-            verdicts.append(
-                ReflexiveVerdict(
-                    functor,
-                    _describe(category, functor, [m.label for m in non_identity]),
-                    is_natural_iso(comparison),
+        else:
+            functors = []
+            for picks in itertools.product(*choice_lists):
+                b.charge()
+                on_morphisms = dict(zip(gens, picks))
+                for r, g, f in derivations:
+                    on_morphisms[r] = compose_functions(on_morphisms[f], on_morphisms[g])
+                try:
+                    functors.append(validate_functor(category, CONTRAVARIANT, on_objects, on_morphisms))
+                except FunctorLawError:
+                    continue
+            functors.sort(key=lambda functor: tuple(functor.act(label).images for label in non_identity))
+            for functor in functors:
+                verdicts.append(
+                    ReflexiveVerdict(functor, _describe(category, functor, non_identity), is_natural_iso(unit(functor, b)))
                 )
-            )
     return verdicts

@@ -3,8 +3,9 @@
 A contravariant functor here is an object of the presheaf category over its
 base; a covariant one is an object of the copresheaf category. Enumeration
 of natural transformations is a backtracking search over component values
-with forward propagation of every naturality constraint, guarded by an
-explicit node budget.
+with forward propagation of the naturality constraints along the base's
+generating morphisms (``fincat.generators``), which imply the others,
+guarded by an explicit budget that counts the slots assigned or forced.
 
 Labels live at the edge, positions inside. A FinSet indexes its labels
 once; a SetFunction stores the codomain position of each image and builds
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 
-from .fincat import FinCategory, StructuralError, opposite
+from .fincat import FinCategory, StructuralError, generators, opposite
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
@@ -374,10 +375,12 @@ def enumerate_nat(
 
     The search assigns component values slot by slot (objects in base
     declaration order, elements in value-set order, candidate images in
-    target-set order) and propagates each assignment through every
-    naturality constraint before descending, so inconsistent branches are
-    pruned at the first definite conflict. Every forced or attempted
-    assignment costs one unit of budget, charged once per propagation;
+    target-set order) and propagates each assignment along every
+    generating morphism of the base before descending, so inconsistent
+    branches are pruned at the first definite conflict; naturality along
+    the generators implies it along their composites. Every forced or
+    attempted assignment costs one unit of budget, charged once per
+    propagation, so the budget counts forces along generating morphisms;
     exhausting it raises BudgetExceeded rather than truncating silently.
     """
     _require_parallel(source, target)
@@ -397,15 +400,20 @@ def enumerate_nat(
         choices.extend([len(cod)] * len(dom))
     n = len(choices)
 
-    # Assigning eta(obj)(e) = v forces, along each base morphism u leaving
-    # obj (entering, for contravariant), the value eta(end)(F(u)(e)) =
-    # G(u)(v). edges[i] lists (forced slot, G(u) images) in morphism order.
+    # Assigning eta(obj)(e) = v forces, along each generating morphism u
+    # leaving obj (entering, for contravariant), the value eta(end)(F(u)(e))
+    # = G(u)(v). F and G are functors, so a family natural along the
+    # generators is natural along their composites, and forcing along the
+    # generators reaches the same slots with the same values as forcing
+    # along every morphism. edges[i] lists (forced slot, G(u) images) in
+    # declaration order of the generators.
     edges: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for m in base.morphisms:
+    for label in generators(base)[0]:
+        m = base.morphism(label)
         start, end = (m.src, m.tgt) if covariant else (m.tgt, m.src)
-        gu = target.act(m.label).images
+        gu = target.act(label).images
         lo, end_lo = first[start], first[end]
-        for k, p in enumerate(source.act(m.label).images):
+        for k, p in enumerate(source.act(label).images):
             edges[lo + k].append((end_lo + p, gu))
 
     values: list[int | None] = [None] * n

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from catspan import (
@@ -6,6 +8,7 @@ from catspan import (
     Morphism,
     StructuralError,
     UnknownObjectError,
+    generators,
     opposite,
     validate_category,
 )
@@ -146,3 +149,14 @@ def test_associativity_of_corpus_categories(categories):
                     lhs = cat.compose(cat.compose(h.label, g.label), f.label)
                     rhs = cat.compose(h.label, cat.compose(g.label, f.label))
                     assert lhs == rhs, (name, h.label, g.label, f.label)
+
+
+def test_generators_of_corpus_categories(categories):
+    square = categories["square"]
+    assert generators(square) == (("ab", "ac", "bd", "cd"), (("ad", "bd", "ab"),))
+    assert generators(square) is generators(square)
+    assert generators(categories["z2"]) == (("s",), ())
+    assert generators(categories["terminal"]) == ((), ())
+    # Declared before its factors, the diagonal is still dropped.
+    diagonal_first = dataclasses.replace(square, morphisms=square.morphisms[-1:] + square.morphisms[:-1])
+    assert generators(diagonal_first) == (("ab", "ac", "bd", "cd"), (("ad", "bd", "ab"),))
