@@ -2,10 +2,12 @@
 
 Nothing here calls the pruned enumerator or the library's naturality
 validator; transformations are represented as plain per-object mapping
-dicts and every square is checked by direct loops. The metric oracles
-import nothing from catspan: the axioms are checked by a scalar loop over
-every entry, pair and triple, and the reference projection recomputes the
-full defect, slack included, on every round.
+dicts and every square is checked by direct loops. The scan oracle tries
+every action on every morphism and checks the composition table entry by
+entry. The metric oracles import nothing from catspan: the axioms are
+checked by a scalar loop over every entry, pair and triple, and the
+reference projection recomputes the full defect, slack included, on every
+round.
 """
 
 from __future__ import annotations
@@ -63,6 +65,61 @@ def family_key(family: dict[str, dict[str, str]]) -> tuple:
     return tuple(
         (obj, tuple(sorted(mapping.items()))) for obj, mapping in sorted(family.items())
     )
+
+
+def composition_closure(category, labels) -> set[str]:
+    """Every morphism that is a composite of one or more of ``labels``,
+    found by composing pairs until nothing new appears."""
+    reached = set(labels)
+    while True:
+        new = {
+            r for (g, f), r in category.table.items() if g in reached and f in reached
+        } - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+def full_product_scan(category, max_set_size: int) -> list[str]:
+    """The functor descriptions a reflexive scan reports: every contravariant
+    functor with value sets x0, x1, ... of at most ``max_set_size`` elements,
+    found by trying every action on every non-identity morphism and keeping
+    the choices that satisfy every entry of the composition table. Size
+    vectors and actions are swept in lexicographic order."""
+    identities = set(category.identity.values())
+    moving = [m for m in category.morphisms if m.label not in identities]
+    found = []
+    for sizes in itertools.product(range(max_set_size + 1), repeat=len(category.objects)):
+        size = dict(zip(category.objects, sizes))
+        # contravariant: a morphism acts from the value set of its target
+        # to that of its source
+        choices = [itertools.product(range(size[m.src]), repeat=size[m.tgt]) for m in moving]
+        for picks in itertools.product(*choices):
+            action = {m.label: pick for m, pick in zip(moving, picks)}
+            for obj in category.objects:
+                action[category.identity[obj]] = tuple(range(size[obj]))
+            if all(
+                action[r] == tuple(action[f][action[g][e]] for e in range(len(action[g])))
+                for (g, f), r in category.table.items()
+            ):
+                head = ",".join(f"{obj}={size[obj]}" for obj in category.objects)
+                body = " ".join(
+                    f"{m.label}:[" + ",".join(f"x{e}>x{v}" for e, v in enumerate(action[m.label])) + "]"
+                    for m in moving
+                )
+                found.append(f"{head}; {body}" if moving else head)
+    return found
+
+
+def full_product_count(category, max_set_size: int) -> int:
+    """The number of candidates ``full_product_scan`` tries."""
+    identities = set(category.identity.values())
+    moving = [m for m in category.morphisms if m.label not in identities]
+    total = 0
+    for sizes in itertools.product(range(max_set_size + 1), repeat=len(category.objects)):
+        size = dict(zip(category.objects, sizes))
+        total += math.prod(size[m.src] ** size[m.tgt] for m in moving)
+    return total
 
 
 def brute_force_metric_violations(labels, d, tol) -> list[tuple[str, tuple[str, ...]]]:
