@@ -335,7 +335,8 @@ def reflexive_scan(
                     continue
             functors.sort(key=lambda functor: tuple(functor.act(label).images for label in non_identity))
             for functor in functors:
+                comparison = unit(functor, b)
                 verdicts.append(
-                    ReflexiveVerdict(functor, _describe(category, functor, non_identity), is_natural_iso(unit(functor, b)))
+                    ReflexiveVerdict(functor, _describe(category, functor, non_identity), is_natural_iso(comparison))
                 )
     return verdicts

@@ -80,14 +80,18 @@ def composition_closure(category, labels) -> set[str]:
         reached |= new
 
 
+def _non_identity(category) -> list:
+    identities = set(category.identity.values())
+    return [m for m in category.morphisms if m.label not in identities]
+
+
 def full_product_scan(category, max_set_size: int) -> list[str]:
     """The functor descriptions a reflexive scan reports: every contravariant
     functor with value sets x0, x1, ... of at most ``max_set_size`` elements,
     found by trying every action on every non-identity morphism and keeping
     the choices that satisfy every entry of the composition table. Size
     vectors and actions are swept in lexicographic order."""
-    identities = set(category.identity.values())
-    moving = [m for m in category.morphisms if m.label not in identities]
+    moving = _non_identity(category)
     found = []
     for sizes in itertools.product(range(max_set_size + 1), repeat=len(category.objects)):
         size = dict(zip(category.objects, sizes))
@@ -113,8 +117,7 @@ def full_product_scan(category, max_set_size: int) -> list[str]:
 
 def full_product_count(category, max_set_size: int) -> int:
     """The number of candidates ``full_product_scan`` tries."""
-    identities = set(category.identity.values())
-    moving = [m for m in category.morphisms if m.label not in identities]
+    moving = _non_identity(category)
     total = 0
     for sizes in itertools.product(range(max_set_size + 1), repeat=len(category.objects)):
         size = dict(zip(category.objects, sizes))
