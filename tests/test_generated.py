@@ -1,11 +1,16 @@
 """Properties over generated categories: random posets on at most four
-objects and one-object submonoids of the transformation monoid T_3.
+objects, one-object submonoids of the transformation monoid T_3, the
+opposites of both, and products of a poset with a monoid, which have
+several objects and hom-sets of more than one morphism.
 
 The strategies build the composition tables directly and import nothing
 from the library's search code. Morphisms are declared in a random order,
 so a composite is often declared before its factors. The properties check
 ``generators`` against a composition closure computed here, and
 ``enumerate_nat`` and ``reflexive_scan`` against the unpruned oracles.
+Over representables and their sums they check the Yoneda count, the
+adjunction's transpose, the reflexivity of representables and the
+triangle identity of the conjugation adjunction.
 """
 
 from __future__ import annotations
@@ -15,12 +20,25 @@ from hypothesis import assume, given, settings, strategies as st
 from catspan import (
     FinCategory,
     Morphism,
+    adjunction_transpose,
+    component_signature,
+    compose_nat,
+    conjugate_presheaf,
+    conjugate_transform,
+    coyoneda,
+    double_conjugate,
+    dual,
     enumerate_nat,
     generators,
+    identity_nat,
+    is_natural_iso,
+    make_transformation,
     pointwise_sum,
     reflexive_scan,
+    unit,
     validate_category,
     yoneda,
+    yoneda_lemma_bijection,
 )
 
 from oracles import (
@@ -36,12 +54,18 @@ from oracles import (
 # unpruned oracles are asked to try.
 FAMILY_CAP = 1_000
 CANDIDATE_CAP = 50_000
+# Largest total number of elements of a sum of two representables that the
+# conjugation properties take. The triangle identity conjugates three times,
+# and the third conjugate of y + y over a 3-element monoid already exceeds
+# two million search steps.
+SUM_ELEMENT_CAP = 6
+TRIANGLE_ELEMENT_CAP = 4
 
 
 @st.composite
-def posets(draw) -> FinCategory:
+def posets(draw, max_objects=4) -> FinCategory:
     """The transitive closure of a random DAG on at most four objects."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_objects))
     objects = draw(st.permutations([f"p{i}" for i in range(n)]))
     below = {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
     below |= {(i, i) for i in range(n)}
@@ -66,10 +90,10 @@ def posets(draw) -> FinCategory:
 
 
 @st.composite
-def t3_submonoids(draw) -> FinCategory:
+def t3_submonoids(draw, max_generators=2) -> FinCategory:
     """The one-object category of the maps {0,1,2} -> {0,1,2} generated by
     one or two random maps; composition is composition of maps."""
-    maps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=2))
+    maps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=max_generators))
     identity = (0, 1, 2)
     elements = {identity}
     frontier = [identity]
@@ -97,7 +121,54 @@ def t3_submonoids(draw) -> FinCategory:
     )
 
 
-categories = st.one_of(posets(), t3_submonoids())
+def opposite_of(category: FinCategory) -> FinCategory:
+    """The opposite category, read off the table: every morphism reversed
+    and every composite g . f recorded as f . g."""
+    return FinCategory(
+        objects=category.objects,
+        morphisms=tuple(Morphism(m.label, m.tgt, m.src) for m in category.morphisms),
+        identity=dict(category.identity),
+        table={(f, g): r for (g, f), r in category.table.items()},
+    )
+
+
+@st.composite
+def products(draw) -> FinCategory:
+    """A poset on at most three objects times a monoid generated by one map
+    of T_3 (at most three elements): pairs of objects and of morphisms,
+    composed componentwise, morphisms declared in a random order."""
+    left, right = draw(posets(max_objects=3)), draw(t3_submonoids(max_generators=1))
+
+    def pair(a, b):
+        return f"{a},{b}"
+
+    morphisms = draw(st.permutations([(f, g) for f in left.morphisms for g in right.morphisms]))
+    return FinCategory(
+        objects=tuple(pair(a, b) for a in left.objects for b in right.objects),
+        morphisms=tuple(Morphism(pair(f.label, g.label), pair(f.src, g.src), pair(f.tgt, g.tgt)) for f, g in morphisms),
+        identity={pair(a, b): pair(left.identity[a], right.identity[b]) for a in left.objects for b in right.objects},
+        table={
+            (pair(g1, g2), pair(f1, f2)): pair(r1, r2)
+            for (g1, f1), r1 in left.table.items()
+            for (g2, f2), r2 in right.table.items()
+        },
+    )
+
+
+categories = st.one_of(
+    posets(),
+    t3_submonoids(),
+    posets().map(opposite_of),
+    t3_submonoids().map(opposite_of),
+    products(),
+)
+
+
+def small_functors(representables, cap=SUM_ELEMENT_CAP):
+    """The representables, and the sums of two of them with at most
+    ``cap`` elements in all."""
+    sums = [pointwise_sum(f, g) for f in representables for g in representables]
+    return representables + [s for s in sums if sum(len(s.at(obj)) for obj in s.base.objects) <= cap]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -139,3 +210,53 @@ def test_reflexive_scan_matches_full_product(category, max_set_size):
         max_set_size -= 1
     scanned = [v.description for v in reflexive_scan(category, max_set_size)]
     assert scanned == full_product_scan(category, max_set_size)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(categories, st.data())
+def test_yoneda_count_equals_value_count(category, data):
+    functor = data.draw(st.sampled_from(small_functors([yoneda(category, x) for x in category.objects])))
+    obj = data.draw(st.sampled_from(category.objects))
+    witness = yoneda_lemma_bijection(functor, obj)
+    assert len(witness.transformations) == len(functor.at(obj))
+    assert witness.bijection.forward.is_bijection()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(categories, st.data())
+def test_adjunction_hom_sets_are_in_bijection(category, data):
+    presheaf = data.draw(st.sampled_from(small_functors([yoneda(category, x) for x in category.objects])))
+    copresheaf = data.draw(st.sampled_from(small_functors([coyoneda(category, x) for x in category.objects])))
+    witness = adjunction_transpose(presheaf, copresheaf)
+    assert len(witness.left_homset) == len(witness.right_homset)
+    assert witness.transpose.forward.is_bijection()
+    assert witness.transpose.backward.is_bijection()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(categories)
+def test_representables_are_reflexive(category):
+    for obj in category.objects:
+        assert is_natural_iso(unit(yoneda(category, obj))), obj
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(categories, st.data())
+def test_triangle_identity(category, data):
+    """(eta_F)* . eta'_{F*} = id_{F*}, where eta is the unit of a presheaf
+    and eta' that of a copresheaf, read over the opposite category."""
+    representables = [yoneda(category, x) for x in category.objects]
+    presheaf = data.draw(st.sampled_from(small_functors(representables, TRIANGLE_ELEMENT_CAP)))
+    star, dstar = double_conjugate(presheaf)
+    tstar = conjugate_presheaf(dstar.conjugate)
+    # eta' of the copresheaf F* is the unit of the presheaf dual(F*) over
+    # C^op; its components are read back as F* => F*** over C.
+    over_op = unit(dual(star.conjugate))
+    eta_prime = make_transformation(
+        star.conjugate,
+        tstar.conjugate,
+        {obj: over_op.component(obj) for obj in category.objects},
+    )
+    eta_star = conjugate_transform(unit(presheaf), tstar, star)
+    composite = compose_nat(eta_star, eta_prime)
+    assert component_signature(composite) == component_signature(identity_nat(star.conjugate))
