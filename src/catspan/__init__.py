@@ -39,7 +39,6 @@ from .setfunc import (
     enumerate_nat,
     identity_function,
     identity_nat,
-    invert_nat,
     is_natural_iso,
     iso_check,
     make_transformation,

@@ -13,11 +13,11 @@ transpose below is a bijection.
 
 The element at position i of a conjugate at X is the i-th transformation
 of its evaluation table, labeled ``t<i>`` only at the edge. A
-ConjugatePair keeps the signature -> position index built with each table;
-the conjugate's action, conjugate_transform and the transpose compute each
-signature they need from the tables and locate it there, without building
-the transformation. One transpose routine serves both directions of the
-adjunction, and the unit is the transpose of the identity of the conjugate.
+ConjugatePair keeps the slots -> position index built with each table;
+the conjugate's action, conjugate_transform and the transpose read and
+write slot tuples (``NatTransformation.slots``) and locate them there.
+One transpose routine serves both directions of the adjunction, and the
+unit is the transpose of the identity of the conjugate.
 
 Actions are computed on the generating morphisms of the base
 (``fincat.generators``) and composed along the derivations for the rest:
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import getitem
 
 from .fincat import FinCategory, generators
 from .setfunc import (
@@ -43,14 +42,14 @@ from .setfunc import (
     NatTransformation,
     SetFunction,
     SetValuedFunctor,
-    component_signature,
+    _composite,
+    _offsets,
     compose_functions,
     coyoneda,
     dual,
     enumerate_nat,
     identity_nat,
     is_natural_iso,
-    make_transformation,
     validate_functor,
     yoneda,
     yoneda_on_morphism,
@@ -62,8 +61,8 @@ class ConjugatePair:
     """A functor together with its conjugate and, for every object, the
     transformations realizing the conjugate's elements. Element ``t<i>``,
     at position i of the conjugate at X, is evaluation_tables[X][i], and
-    index[X] maps that transformation's signature back to i. Downstream
-    consumers locate signatures there; ``label_of`` is the label view of
+    index[X] maps that transformation's slots back to i. Downstream
+    consumers locate slot tuples there; ``label_of`` is the label view of
     that lookup."""
 
     original: SetValuedFunctor
@@ -72,12 +71,12 @@ class ConjugatePair:
     index: dict[str, dict[tuple[int, ...], int]]
 
     def label_of(self, obj: str, t: NatTransformation) -> str:
-        return f"t{_locate(self.index, obj, component_signature(t))}"
+        return f"t{_locate(self.index, obj, t.slots)}"
 
 
-def _locate(index: dict[str, dict[tuple[int, ...], int]], obj: str, signature: tuple[int, ...]) -> int:
-    """The position at ``obj`` of the transformation with this signature."""
-    i = index[obj].get(signature)
+def _locate(index: dict[str, dict[tuple[int, ...], int]], obj: str, slots: tuple[int, ...]) -> int:
+    """The position at ``obj`` of the transformation with these slots."""
+    i = index[obj].get(slots)
     if i is None:
         raise RuntimeError(f"transformation not present in the evaluation table at {obj!r}")
     return i
@@ -96,18 +95,15 @@ def _conjugate(presheaf: SetValuedFunctor, budget: Budget) -> ConjugatePair:
     base = presheaf.base
     gens, derivations = generators(base)
     tables = {obj: enumerate_nat(presheaf, yoneda(base, obj), budget) for obj in base.objects}
-    # Signatures are distinct, so each index lists them in table order.
-    index = {
-        obj: {component_signature(t): i for i, t in enumerate(entries)}
-        for obj, entries in tables.items()
-    }
+    # Slot tuples are distinct, so each index lists them in table order.
+    index = {obj: {t.slots: i for i, t in enumerate(entries)} for obj, entries in tables.items()}
     on_objects = {obj: _labels(len(tables[obj])) for obj in base.objects}
     on_morphisms = {}
     for label in gens:
         m = base.morphism(label)
         u = yoneda_on_morphism(base, label)
-        slots = [u.components[a].images for a in base.objects for _ in presheaf.at(a).elements]
-        images = tuple(_locate(index, m.tgt, tuple(map(getitem, slots, sig))) for sig in index[m.src])
+        offsets = _offsets(presheaf, u.source)
+        images = tuple(_locate(index, m.tgt, _composite(u.slots, offsets, slots)) for slots in index[m.src])
         on_morphisms[label] = SetFunction._trusted(on_objects[m.src], on_objects[m.tgt], images)
     for r, g, f in derivations:
         on_morphisms[r] = compose_functions(on_morphisms[g], on_morphisms[f])
@@ -138,7 +134,7 @@ def conjugate_copresheaf(copresheaf: SetValuedFunctor, budget: Budget | int | No
     tables = {}
     for obj, entries in over_op.evaluation_tables.items():
         z = coyoneda(base, obj)
-        tables[obj] = [NatTransformation(copresheaf, z, t.components) for t in entries]
+        tables[obj] = [NatTransformation(copresheaf, z, t.slots) for t in entries]
     return ConjugatePair(copresheaf, dual(over_op.conjugate), tables, over_op.index)
 
 
@@ -152,15 +148,13 @@ def conjugate_transform(
     (a, k) of t . h holds t_a(h_a(k))."""
     if h.target != source_pair.original or h.source != target_pair.original:
         raise ValueError("transformations not composable: endpoints differ")
-    objects = h.source.base.objects
-    comps = {}
-    for obj in objects:
-        images = tuple(
-            _locate(target_pair.index, obj, tuple(t.components[a].images[p] for a in objects for p in h.components[a].images))
-            for t in source_pair.evaluation_tables[obj]
-        )
-        comps[obj] = SetFunction._trusted(source_pair.conjugate.at(obj), target_pair.conjugate.at(obj), images)
-    return make_transformation(source_pair.conjugate, target_pair.conjugate, comps)
+    offsets = _offsets(h.source, h.target)
+    slots = tuple(
+        _locate(target_pair.index, obj, _composite(t.slots, offsets, h.slots))
+        for obj in h.source.base.objects
+        for t in source_pair.evaluation_tables[obj]
+    )
+    return NatTransformation._checked(source_pair.conjugate, target_pair.conjugate, slots)
 
 
 @dataclass(frozen=True)
@@ -187,26 +181,29 @@ def _transpose(h: NatTransformation, pair: ConjugatePair, other_pair: ConjugateP
     h_Y(t), curried in the first variable: the curried transformation of s
     in F(X) has, at the slot of t in G(Y), the position alpha_X(s) in the
     hom-set between X and Y, which G*'s representable at X lists at Y in
-    the same declaration order. Its signature is located in G*'s table at
-    X; the curried transformation itself is never built.
+    the same declaration order. Its slots are located in G*'s table at X;
+    the curried transformation itself is never built.
     """
-    f = pair.original
+    f, g = pair.original, h.source
     objects = f.base.objects
     tables = pair.evaluation_tables
-    comps = {}
-    for x in objects:
-        columns = [tables[y][i].components[x].images for y in objects for i in h.components[y].images]
-        images = tuple(_locate(other_pair.index, x, tuple(c[k] for c in columns)) for k in range(len(f.at(x))))
-        comps[x] = SetFunction._trusted(f.at(x), other_pair.conjugate.at(x), images)
-    return make_transformation(f, other_pair.conjugate, comps)
+    # The realizer alpha of each slot of h, in h's slot order; the curried
+    # transformation of the element at slot k of F reads slot k of each.
+    realizers = [tables[y][i].slots for y in objects for i in h.slots[g.block(y)]]
+    slots = tuple(
+        _locate(other_pair.index, x, tuple(alpha[k] for alpha in realizers))
+        for x in objects
+        for k in range(f.first[x], f.first[x] + len(f.at(x)))
+    )
+    return NatTransformation._checked(f, other_pair.conjugate, slots)
 
 
 def _transposes(homset, pair: ConjugatePair, other_pair: ConjugatePair, targets) -> tuple[int, ...]:
     """The position in ``targets`` of the transpose of each entry of ``homset``."""
-    index = {component_signature(t): i for i, t in enumerate(targets)}
+    index = {t.slots: i for i, t in enumerate(targets)}
     images = []
     for h in homset:
-        i = index.get(component_signature(_transpose(h, pair, other_pair)))
+        i = index.get(_transpose(h, pair, other_pair).slots)
         if i is None:
             raise RuntimeError("transpose produced a transformation outside the enumerated hom-set")
         images.append(i)

@@ -9,9 +9,10 @@ guarded by an explicit budget that counts the slots assigned or forced.
 
 Labels live at the edge, positions inside. A FinSet indexes its labels
 once; a SetFunction stores the codomain position of each image and builds
-its label view ``mapping`` only when asked; a transformation's signature is
-its flat tuple of slot positions. Outside input is checked where it enters
-(``SetFunction(dom, cod, mapping)``, ``validate_functor``,
+its label view ``mapping`` only when asked; a transformation is its flat
+slot tuple in the layout its source functor decides (``first``), and its
+``components`` are a view built on read. Outside input is checked where
+it enters (``SetFunction(dom, cod, mapping)``, ``validate_functor``,
 ``make_transformation``); composites and search results, correct by
 construction, skip that re-check. Representables are built once per
 category and memoised on it.
@@ -25,8 +26,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .fincat import FinCategory, StructuralError, generators, opposite
 
@@ -122,7 +124,7 @@ class SetFunction:
     label view, built on each access for callers that read labels.
 
     ``SetFunction(dom, cod, mapping)`` checks every image; the library's
-    own composites, inverses and search results are built by ``_trusted``.
+    own composites and search results are built by ``_trusted``.
     """
 
     dom: FinSet
@@ -160,14 +162,6 @@ class SetFunction:
     def is_bijection(self) -> bool:
         return len(self.dom) == len(self.cod) == len(set(self.images))
 
-    def inverse(self) -> "SetFunction":
-        if not self.is_bijection():
-            raise ValueError("not a bijection")
-        inverse = [0] * len(self.images)
-        for i, p in enumerate(self.images):
-            inverse[p] = i
-        return SetFunction._trusted(self.cod, self.dom, tuple(inverse))
-
 
 def _fill(fn: SetFunction, dom: FinSet, cod: FinSet, images: tuple[int, ...]) -> None:
     object.__setattr__(fn, "dom", dom)
@@ -197,6 +191,21 @@ class SetValuedFunctor:
 
     def act(self, morphism: str) -> SetFunction:
         return self.on_morphisms[morphism]
+
+    @cached_property
+    def first(self) -> dict[str, int]:
+        """Slot layout of a transformation out of this functor: objects in
+        base declaration order, each one's elements in value-set order."""
+        first, n = {}, 0
+        for obj in self.base.objects:
+            first[obj] = n
+            n += len(self.on_objects[obj])
+        return first
+
+    def block(self, obj: str) -> slice:
+        """The slots of obj's elements."""
+        lo = self.first[obj]
+        return slice(lo, lo + len(self.on_objects[obj]))
 
 
 def dual(functor: SetValuedFunctor) -> SetValuedFunctor:
@@ -263,10 +272,10 @@ def validate_functor(
 
     for (g, f), r in base.table.items():
         if variance == COVARIANT:
-            expected = compose_functions(morphisms[g], morphisms[f])
+            expected = _gather(morphisms[g].images, morphisms[f].images)
         else:
-            expected = compose_functions(morphisms[f], morphisms[g])
-        if morphisms[r].images != expected.images:
+            expected = _gather(morphisms[f].images, morphisms[g].images)
+        if morphisms[r].images != expected:
             raise FunctorLawError("composition", (g, f, r), "action of the composite differs from the composite of the actions")
 
     return SetValuedFunctor(base, variance, objects, morphisms)
@@ -274,21 +283,47 @@ def validate_functor(
 
 @dataclass(frozen=True)
 class NatTransformation:
+    """``slots[source.first[obj] + k]`` is the target position of the
+    image of the k-th element of ``source.at(obj)``; ``component(obj)`` and
+    ``components`` are views. The constructor trusts its slots."""
+
     source: SetValuedFunctor
     target: SetValuedFunctor
-    components: dict[str, SetFunction]
+    slots: tuple[int, ...]
 
     def component(self, obj: str) -> SetFunction:
-        return self.components[obj]
+        return SetFunction._trusted(self.source.at(obj), self.target.at(obj), self.slots[self.source.block(obj)])
+
+    @property
+    def components(self) -> dict[str, SetFunction]:
+        return {obj: self.component(obj) for obj in self.source.base.objects}
+
+    @classmethod
+    def _checked(cls, source: SetValuedFunctor, target: SetValuedFunctor, slots: tuple[int, ...]) -> "NatTransformation":
+        """Build from slots and verify every naturality square."""
+        t = cls(source, target, slots)
+        witness = naturality_witness(t)
+        if witness is not None:
+            raise NaturalityError(witness[0], f"square fails on element {witness[1]!r}")
+        return t
 
 
 def component_signature(t: NatTransformation) -> tuple[int, ...]:
-    """The flat slot tuple: the image positions of every component, objects
-    in base declaration order and elements in value-set order. Equal iff
-    structurally equal (for transformations between the same pair of
-    functors)."""
-    components = t.components
-    return tuple(chain.from_iterable(components[obj].images for obj in t.source.base.objects))
+    """The flat slot tuple. Equal iff structurally equal (for
+    transformations between the same pair of functors)."""
+    return t.slots
+
+
+def _offsets(source: SetValuedFunctor, middle: SetValuedFunctor) -> list[int]:
+    """For each slot out of ``source``, middle.first at its object."""
+    first = middle.first
+    return [first[obj] for obj in source.base.objects for _ in source.at(obj).elements]
+
+
+def _composite(second: tuple[int, ...], offsets: list[int], first: tuple[int, ...]) -> tuple[int, ...]:
+    """The slots of second . first, given _offsets(first's source, second's
+    source): slot i is second's slot at the image of first's slot i."""
+    return tuple(map(second.__getitem__, map(add, offsets, first)))
 
 
 def _require_parallel(source: SetValuedFunctor, target: SetValuedFunctor) -> None:
@@ -300,12 +335,12 @@ def _require_parallel(source: SetValuedFunctor, target: SetValuedFunctor) -> Non
 
 def naturality_witness(t: NatTransformation) -> tuple[str, str] | None:
     """First (morphism, element) pair whose naturality square fails, or None."""
-    source, target = t.source, t.target
+    source, target, slots = t.source, t.target, t.slots
     covariant = source.variance == COVARIANT
     for m in source.base.morphisms:
         start, end = (m.src, m.tgt) if covariant else (m.tgt, m.src)
         fu, gu = source.act(m.label).images, target.act(m.label).images
-        comp_start, comp_end = t.components[start].images, t.components[end].images
+        comp_start, comp_end = slots[source.block(start)], slots[source.block(end)]
         around, across = _gather(comp_end, fu), _gather(gu, comp_start)
         if around != across:
             k = next(k for k, (a, b) in enumerate(zip(around, across)) if a != b)
@@ -320,50 +355,34 @@ def make_transformation(
 ) -> NatTransformation:
     """Construct a transformation and verify every naturality square."""
     _require_parallel(source, target)
+    slots = []
     for obj in source.base.objects:
         if obj not in components:
             raise ValueError(f"missing component at object {obj!r}")
         comp = components[obj]
         if comp.dom != source.at(obj) or comp.cod != target.at(obj):
             raise ValueError(f"component at {obj!r} has wrong endpoints")
-    t = NatTransformation(source, target, dict(components))
-    witness = naturality_witness(t)
-    if witness is not None:
-        raise NaturalityError(witness[0], f"square fails on element {witness[1]!r}")
-    return t
+        slots.extend(comp.images)
+    return NatTransformation._checked(source, target, tuple(slots))
 
 
 def identity_nat(functor: SetValuedFunctor) -> NatTransformation:
-    return NatTransformation(
-        functor, functor, {obj: identity_function(functor.at(obj)) for obj in functor.base.objects}
-    )
+    slots = chain.from_iterable(range(len(functor.at(obj))) for obj in functor.base.objects)
+    return NatTransformation(functor, functor, tuple(slots))
 
 
 def compose_nat(second: NatTransformation, first: NatTransformation) -> NatTransformation:
     """Vertical composite: first then second."""
     if first.target != second.source:
         raise ValueError("transformations not composable: endpoints differ")
-    comps = {
-        obj: compose_functions(second.components[obj], first.components[obj])
-        for obj in first.source.base.objects
-    }
-    return NatTransformation(first.source, second.target, comps)
-
-
-def invert_nat(t: NatTransformation) -> NatTransformation:
-    """Componentwise inverse, verified natural."""
-    inverse = {obj: comp.inverse() for obj, comp in t.components.items()}
-    return make_transformation(t.target, t.source, inverse)
+    offsets = _offsets(first.source, second.source)
+    return NatTransformation(first.source, second.target, _composite(second.slots, offsets, first.slots))
 
 
 def is_natural_iso(t: NatTransformation) -> bool:
-    if not all(comp.is_bijection() for comp in t.components.values()):
-        return False
-    try:
-        invert_nat(t)
-    except NaturalityError:
-        return False
-    return True
+    """Bijective components and commuting squares: a natural bijection's
+    inverse is natural."""
+    return all(comp.is_bijection() for comp in t.components.values()) and naturality_witness(t) is None
 
 
 def enumerate_nat(
@@ -373,9 +392,9 @@ def enumerate_nat(
 ) -> list[NatTransformation]:
     """All natural transformations source => target, in canonical order.
 
-    The search assigns component values slot by slot (objects in base
-    declaration order, elements in value-set order, candidate images in
-    target-set order) and propagates each assignment along every
+    The search assigns component values slot by slot (in the layout of
+    ``source.first``, candidate images in target-set order) and
+    propagates each assignment along every
     generating morphism of the base before descending, so inconsistent
     branches are pruned at the first definite conflict; naturality along
     the generators implies it along their composites. Every forced or
@@ -388,16 +407,10 @@ def enumerate_nat(
     base = source.base
     covariant = source.variance == COVARIANT
 
-    # Slot i holds the target position assigned to one source element;
-    # first[obj] is the slot of the first element of obj.
-    first: dict[str, int] = {}
-    blocks = []
-    choices: list[int] = []
-    for obj in base.objects:
-        dom, cod = source.at(obj), target.at(obj)
-        first[obj] = len(choices)
-        blocks.append((obj, dom, cod, len(choices), len(choices) + len(dom)))
-        choices.extend([len(cod)] * len(dom))
+    # Slot i (layout source.first) holds the target position assigned to
+    # one source element, one of choices[i] values.
+    first = source.first
+    choices = [len(target.at(obj)) for obj in base.objects for _ in source.at(obj).elements]
     n = len(choices)
 
     # Assigning eta(obj)(e) = v forces, along each generating morphism u
@@ -439,8 +452,7 @@ def enumerate_nat(
         return True
 
     def snapshot() -> NatTransformation:
-        comps = {obj: SetFunction._trusted(dom, cod, tuple(values[lo:hi])) for obj, dom, cod, lo, hi in blocks}
-        return NatTransformation(source, target, comps)
+        return NatTransformation(source, target, tuple(values))
 
     def next_free(i: int) -> int:
         while i < n and values[i] is not None:
@@ -530,7 +542,7 @@ def coyoneda_on_morphism(category: FinCategory, morphism: str) -> NatTransformat
     postcomposition with u in C^op, whose naturality squares are the same."""
     m = category.morphism(morphism)
     over_op = yoneda_on_morphism(opposite(category), morphism)
-    return NatTransformation(coyoneda(category, m.tgt), coyoneda(category, m.src), over_op.components)
+    return NatTransformation(coyoneda(category, m.tgt), coyoneda(category, m.src), over_op.slots)
 
 
 @dataclass(frozen=True)
@@ -568,7 +580,7 @@ def yoneda_lemma_bijection(
     """Exhibit nat(y(obj), F) <-> F(obj).
 
     Forward evaluates a transformation at the identity of ``obj``; backward
-    sends a value a to the transformation u -> F(u)(a), whose signature is
+    sends a value a to the transformation u -> F(u)(a), whose slot tuple is
     read off the functor's action and located among the enumerated ones.
     Both round trips are verified.
     """
@@ -578,10 +590,10 @@ def yoneda_lemma_bijection(
     hom_into = yoneda(base, obj)
     nats = enumerate_nat(hom_into, presheaf, budget)
     labels = FinSet(tuple(f"n{i}" for i in range(len(nats))))
-    index = {component_signature(t): i for i, t in enumerate(nats)}
-    at_identity = hom_into.at(obj).index[base.identity_of(obj)]
+    index = {t.slots: i for i, t in enumerate(nats)}
+    at_identity = hom_into.first[obj] + hom_into.at(obj).index[base.identity_of(obj)]
 
-    forward = tuple(t.components[obj].images[at_identity] for t in nats)
+    forward = tuple(t.slots[at_identity] for t in nats)
     actions = [presheaf.act(u).images for w in base.objects for u in hom_into.at(w).elements]
     backward = []
     for k in range(len(presheaf.at(obj))):

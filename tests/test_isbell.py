@@ -282,7 +282,7 @@ def test_label_of_rejects_absent_transformation(categories):
     # a constant map is not equivariant, so no table entry realizes it
     constant = SetFunction(regular.at("*"), target.at("*"), {"0": images[0], "1": images[0]})
     with pytest.raises(RuntimeError, match="not present"):
-        pair.label_of("*", NatTransformation(regular, target, {"*": constant}))
+        pair.label_of("*", NatTransformation(regular, target, constant.images))
 
 
 # ---------------------------------------------------------- unit
