@@ -393,11 +393,11 @@ def enumerate_nat(
     """All natural transformations source => target, in canonical order.
 
     The search assigns component values slot by slot (in the layout of
-    ``source.first``, candidate images in target-set order) and
-    propagates each assignment along every
-    generating morphism of the base before descending, so inconsistent
-    branches are pruned at the first definite conflict; naturality along
-    the generators implies it along their composites. Every forced or
+    ``source.first``, candidate images in target-set order) and propagates
+    each assignment along every generating morphism of the base before
+    descending, so inconsistent branches are pruned at the first definite
+    conflict; naturality along the generators implies it along their
+    composites. Every forced or
     attempted assignment costs one unit of budget, charged once per
     propagation, so the budget counts forces along generating morphisms;
     exhausting it raises BudgetExceeded rather than truncating silently.
