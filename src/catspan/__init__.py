@@ -49,21 +49,9 @@ from .setfunc import (
     yoneda_lemma_bijection,
     yoneda_on_morphism,
 )
-from .isbell import (
-    AdjunctionWitness,
-    ConjugatePair,
-    ReflexiveVerdict,
-    adjunction_transpose,
-    conjugate_copresheaf,
-    conjugate_presheaf,
-    conjugate_transform,
-    double_conjugate,
-    reflexive_scan,
-    unit,
-)
-
-# numpy is needed only by the tight span, so the tight-span names are served
-# on first use (PEP 562): category commands never import it.
+# The tight-span and conjugation names are served on first use (PEP 562):
+# numpy is needed only by the tight span, so category commands never import
+# it, and only the conjugation commands load the conjugation module.
 _TIGHTSPAN_NAMES = frozenset({
     "DEFAULT_TOL",
     "MAX_ITERATIONS",
@@ -85,15 +73,33 @@ _TIGHTSPAN_NAMES = frozenset({
     "tripod",
     "validate_metric",
 })
+_ISBELL_NAMES = frozenset({
+    "AdjunctionWitness",
+    "ConjugatePair",
+    "ReflexiveVerdict",
+    "adjunction_transpose",
+    "conjugate_copresheaf",
+    "conjugate_presheaf",
+    "conjugate_transform",
+    "double_conjugate",
+    "reflexive_scan",
+    "unit",
+})
 
 
 def __getattr__(name: str):
-    if name == "tightspan" or name in _TIGHTSPAN_NAMES:
-        # import_module, not ``from . import tightspan``: the latter looks the
-        # name up on this package first and would re-enter this function.
-        tightspan = importlib.import_module(__name__ + ".tightspan")
-        return tightspan if name == "tightspan" else getattr(tightspan, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in ("tightspan", "isbell"):
+        module = name
+    elif name in _TIGHTSPAN_NAMES:
+        module = "tightspan"
+    elif name in _ISBELL_NAMES:
+        module = "isbell"
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not ``from . import ...``: the latter looks the name up
+    # on this package first and would re-enter this function.
+    loaded = importlib.import_module(f"{__name__}.{module}")
+    return loaded if name == module else getattr(loaded, name)
 
 
 __version__ = "0.1.0"

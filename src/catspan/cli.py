@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .fileformat import (
@@ -29,8 +28,7 @@ from .fileformat import (
     load_metric_document,
     recording_reads,
 )
-from .fincat import StructuralError, UnknownObjectError, validate_category
-from .isbell import adjunction_transpose, conjugate_copresheaf, conjugate_presheaf, reflexive_scan, unit
+from .fincat import Frozen, StructuralError, UnknownObjectError, validate_category
 from .setfunc import (
     CONTRAVARIANT,
     COVARIANT,
@@ -49,19 +47,19 @@ class InputError(Exception):
     """User input that cannot be processed (usage-level, exit 2)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    budget: int
-    tol: float
-    seed: int
-    output_format: str
-    output: str | None
+class RunConfig(Frozen):
+    __slots__ = _fields = ("budget", "tol", "seed", "output_format", "output")
 
-    def __post_init__(self):
-        if self.budget <= 0:
+    def __init__(self, budget: int, tol: float, seed: int, output_format: str, output: str | None):
+        if budget <= 0:
             raise InputError("--budget must be positive")
-        if not (math.isfinite(self.tol) and self.tol > 0):
+        if not (math.isfinite(tol) and tol > 0):
             raise InputError("--tol must be positive and finite")
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "output_format", output_format)
+        object.__setattr__(self, "output", output)
 
 
 def _nat_to_dict(t) -> dict:
@@ -91,7 +89,8 @@ def _require_variance(functor, variance: str, path: str, subcommand: str):
 
 
 # The metric handlers import ``.tightspan`` when called, so that only they
-# pay for importing numpy.
+# pay for importing numpy; likewise the four conjugation handlers import
+# ``.isbell``, which no other subcommand needs.
 
 
 def _load_valid_metric(path: str, tol: float):
@@ -199,6 +198,8 @@ def _cmd_sum(args, config, budget):
 
 
 def _cmd_conjugate(args, config, budget):
+    from .isbell import conjugate_copresheaf, conjugate_presheaf
+
     functor = _load_functor_checked(args.file)
     if functor.variance == CONTRAVARIANT:
         pair = conjugate_presheaf(functor, budget)
@@ -217,6 +218,8 @@ def _cmd_conjugate(args, config, budget):
 
 
 def _cmd_adjunction_check(args, config, budget):
+    from .isbell import adjunction_transpose
+
     presheaf = _load_functor_checked(args.presheaf)
     copresheaf = _load_functor_checked(args.copresheaf)
     _require_variance(presheaf, CONTRAVARIANT, args.presheaf, "adjunction-check")
@@ -237,6 +240,8 @@ def _cmd_adjunction_check(args, config, budget):
 
 
 def _cmd_unit(args, config, budget):
+    from .isbell import unit
+
     functor = _load_functor_checked(args.file)
     _require_variance(functor, CONTRAVARIANT, args.file, "unit")
     comparison = unit(functor, budget)
@@ -250,6 +255,8 @@ def _cmd_unit(args, config, budget):
 
 
 def _cmd_reflexive_scan(args, config, budget):
+    from .isbell import reflexive_scan
+
     category = load_lawful_category(args.file)
     verdicts = reflexive_scan(category, args.max_set_size, budget)
     return True, {

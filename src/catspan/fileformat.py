@@ -104,6 +104,15 @@ def _expect(doc: dict, source: str, field: str, typ, type_name: str):
     return value
 
 
+def _first_duplicate(labels: list[str]) -> str | None:
+    seen: set[str] = set()
+    for label in labels:
+        if label in seen:
+            return label
+        seen.add(label)
+    return None
+
+
 def parse_category(doc: dict, source: str = "<inline>") -> FinCategory:
     """Structural parse of a category document into an unvalidated candidate."""
     _check_header(doc, source, "category")
@@ -192,6 +201,9 @@ def parse_functor(doc: dict, source: str, category: FinCategory | None = None,
             raise ParseError(source, f"objects.{obj}", "undeclared object")
         if not (isinstance(elems, list) and all(isinstance(e, str) for e in elems)):
             raise ParseError(source, f"objects.{obj}", "expected a list of element labels")
+        duplicate = _first_duplicate(elems)
+        if duplicate is not None:
+            raise ParseError(source, f"objects.{obj}", f"duplicate element label {duplicate!r}")
     for obj in category.objects:
         if obj not in raw_objects:
             raise ParseError(source, f"objects.{obj}", "missing value set")
@@ -222,9 +234,14 @@ def parse_metric(doc: dict, source: str) -> tuple[list[str], list[list[float]]]:
     """Structural parse of a metric document; axioms are checked separately."""
     _check_header(doc, source, "metric")
     points = _expect(doc, source, "points", list, "list of point labels")
+    if not points:
+        raise ParseError(source, "points", "expected at least one point")
     for i, p in enumerate(points):
         if not isinstance(p, str):
             raise ParseError(source, f"points[{i}]", "point label must be a string")
+    duplicate = _first_duplicate(points)
+    if duplicate is not None:
+        raise ParseError(source, "points", f"duplicate point label {duplicate!r}")
     rows = _expect(doc, source, "d", list, "square matrix of numbers")
     if len(rows) != len(points):
         raise ParseError(source, "d", f"expected {len(points)} rows, got {len(rows)}")

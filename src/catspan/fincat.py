@@ -7,7 +7,6 @@ total lookup table over composable pairs, keyed ``(g, f)`` and read as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -25,34 +24,83 @@ class CompositionError(ValueError):
     """Composition requested for a pair whose endpoints do not match."""
 
 
-@dataclass(frozen=True)
-class Morphism:
-    label: str
-    src: str
-    tgt: str
+class Frozen:
+    """Base of the library's immutable records. A subclass names its fields
+    in ``_fields``, in constructor order, and its ``__init__`` sets each one
+    once through ``object.__setattr__``; after that, assigning or deleting
+    an attribute raises AttributeError. Two records are equal when they are
+    of the same class and their fields are equal, and a record hashes as the
+    tuple of its fields. A record compared by identity restores
+    ``object.__eq__`` and ``object.__hash__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
 
 
-@dataclass(frozen=True)
-class Violation:
-    law: str
-    witness: tuple[str, ...]
+class Morphism(Frozen):
+    __slots__ = _fields = ("label", "src", "tgt")
+
+    def __init__(self, label: str, src: str, tgt: str):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...]
+class Violation(Frozen):
+    __slots__ = _fields = ("law", "witness")
+
+    def __init__(self, law: str, witness: tuple[str, ...]):
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class FinCategory:
+class ValidationReport(Frozen):
+    __slots__ = _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[Violation, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
+
+
+class FinCategory(Frozen):
     """A finite category: objects, morphisms, identities, and a dense
-    composition table. Treated as immutable once validated."""
+    composition table. Treated as immutable once validated. Unslotted: the
+    cached properties live in the instance dict."""
 
-    objects: tuple[str, ...]
-    morphisms: tuple[Morphism, ...]
-    identity: dict[str, str]
-    table: dict[tuple[str, str], str]
+    _fields = ("objects", "morphisms", "identity", "table")
+
+    def __init__(
+        self,
+        objects: tuple[str, ...],
+        morphisms: tuple[Morphism, ...],
+        identity: dict[str, str],
+        table: dict[tuple[str, str], str],
+    ):
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "morphisms", morphisms)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "table", table)
 
     @cached_property
     def _by_label(self) -> dict[str, Morphism]:

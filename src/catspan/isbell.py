@@ -29,9 +29,8 @@ generator. The functor-law check that follows covers every composite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .fincat import FinCategory, generators
+from .fincat import FinCategory, Frozen, generators
 from .setfunc import (
     CONTRAVARIANT,
     COVARIANT,
@@ -56,8 +55,7 @@ from .setfunc import (
 )
 
 
-@dataclass(frozen=True)
-class ConjugatePair:
+class ConjugatePair(Frozen):
     """A functor together with its conjugate and, for every object, the
     transformations realizing the conjugate's elements. Element ``t<i>``,
     at position i of the conjugate at X, is evaluation_tables[X][i], and
@@ -65,10 +63,19 @@ class ConjugatePair:
     consumers locate slot tuples there; ``label_of`` is the label view of
     that lookup."""
 
-    original: SetValuedFunctor
-    conjugate: SetValuedFunctor
-    evaluation_tables: dict[str, list[NatTransformation]]
-    index: dict[str, dict[tuple[int, ...], int]]
+    __slots__ = _fields = ("original", "conjugate", "evaluation_tables", "index")
+
+    def __init__(
+        self,
+        original: SetValuedFunctor,
+        conjugate: SetValuedFunctor,
+        evaluation_tables: dict[str, list[NatTransformation]],
+        index: dict[str, dict[tuple[int, ...], int]],
+    ):
+        object.__setattr__(self, "original", original)
+        object.__setattr__(self, "conjugate", conjugate)
+        object.__setattr__(self, "evaluation_tables", evaluation_tables)
+        object.__setattr__(self, "index", index)
 
     def label_of(self, obj: str, t: NatTransformation) -> str:
         return f"t{_locate(self.index, obj, t.slots)}"
@@ -157,20 +164,33 @@ def conjugate_transform(
     return NatTransformation._checked(source_pair.conjugate, target_pair.conjugate, slots)
 
 
-@dataclass(frozen=True)
-class AdjunctionWitness:
+class AdjunctionWitness(Frozen):
     """Both hom-sets of the conjugation adjunction for a presheaf F and a
     copresheaf G, with the transpose bijection between them. Left entries
     (transformations G => F*) are labeled l0, l1, ...; right entries
     (F => G*) r0, r1, ...; round trips are identities by construction."""
 
-    presheaf: SetValuedFunctor
-    copresheaf: SetValuedFunctor
-    left_homset: list[NatTransformation]
-    right_homset: list[NatTransformation]
-    transpose: Bijection
-    presheaf_pair: ConjugatePair
-    copresheaf_pair: ConjugatePair
+    __slots__ = _fields = (
+        "presheaf", "copresheaf", "left_homset", "right_homset", "transpose", "presheaf_pair", "copresheaf_pair",
+    )
+
+    def __init__(
+        self,
+        presheaf: SetValuedFunctor,
+        copresheaf: SetValuedFunctor,
+        left_homset: list[NatTransformation],
+        right_homset: list[NatTransformation],
+        transpose: Bijection,
+        presheaf_pair: ConjugatePair,
+        copresheaf_pair: ConjugatePair,
+    ):
+        object.__setattr__(self, "presheaf", presheaf)
+        object.__setattr__(self, "copresheaf", copresheaf)
+        object.__setattr__(self, "left_homset", left_homset)
+        object.__setattr__(self, "right_homset", right_homset)
+        object.__setattr__(self, "transpose", transpose)
+        object.__setattr__(self, "presheaf_pair", presheaf_pair)
+        object.__setattr__(self, "copresheaf_pair", copresheaf_pair)
 
 
 def _transpose(h: NatTransformation, pair: ConjugatePair, other_pair: ConjugatePair) -> NatTransformation:
@@ -259,11 +279,13 @@ def unit(presheaf: SetValuedFunctor, budget: Budget | int | None = None) -> NatT
     return _transpose(identity_nat(star.conjugate), star, dstar)
 
 
-@dataclass(frozen=True)
-class ReflexiveVerdict:
-    functor: SetValuedFunctor
-    description: str
-    reflexive: bool
+class ReflexiveVerdict(Frozen):
+    __slots__ = _fields = ("functor", "description", "reflexive")
+
+    def __init__(self, functor: SetValuedFunctor, description: str, reflexive: bool):
+        object.__setattr__(self, "functor", functor)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "reflexive", reflexive)
 
 
 def _describe(base: FinCategory, functor: SetValuedFunctor, action_morphisms: list[str]) -> str:

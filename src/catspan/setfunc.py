@@ -25,12 +25,11 @@ side is derived through it, z_C(X) = y_{C^op}(X).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import add, itemgetter
 
-from .fincat import FinCategory, StructuralError, generators, opposite
+from .fincat import FinCategory, Frozen, StructuralError, generators, opposite
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
@@ -86,18 +85,18 @@ class NaturalityError(ValueError):
         self.morphism = morphism
 
 
-@dataclass(frozen=True)
-class FinSet:
+class FinSet(Frozen):
     """A finite set of labels in a fixed order, with a label -> position
-    index built once."""
+    index built once; compared by its elements alone."""
 
-    elements: tuple[str, ...]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("elements", "index")
+    _fields = ("elements",)
 
-    def __post_init__(self):
-        index = {e: i for i, e in enumerate(self.elements)}
-        if len(index) != len(self.elements):
-            raise ValueError(f"duplicate element labels in {self.elements}")
+    def __init__(self, elements: tuple[str, ...]):
+        index = {e: i for i, e in enumerate(elements)}
+        if len(index) != len(elements):
+            raise ValueError(f"duplicate element labels in {elements}")
+        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
@@ -117,8 +116,7 @@ def _gather(table: tuple, positions: tuple[int, ...]) -> tuple:
     return tuple(table[p] for p in positions)
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class SetFunction:
+class SetFunction(Frozen):
     """A function between finite sets. ``images[i]`` is the codomain
     position of the image of the i-th domain element; ``mapping`` is the
     label view, built on each access for callers that read labels.
@@ -127,9 +125,7 @@ class SetFunction:
     own composites and search results are built by ``_trusted``.
     """
 
-    dom: FinSet
-    cod: FinSet
-    images: tuple[int, ...]
+    __slots__ = _fields = ("dom", "cod", "images")
 
     def __init__(self, dom: FinSet, cod: FinSet, mapping: dict[str, str]):
         for e in dom.elements:
@@ -141,14 +137,18 @@ class SetFunction:
             if img not in cod:
                 raise ValueError(f"image {img!r} of {e!r} lies outside the codomain")
         position = cod.index
-        _fill(self, dom, cod, tuple(position[mapping[e]] for e in dom.elements))
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "images", tuple(position[mapping[e]] for e in dom.elements))
 
     @classmethod
     def _trusted(cls, dom: FinSet, cod: FinSet, images: tuple[int, ...]) -> "SetFunction":
         """Internal constructor for values correct by construction: ``images``
         are codomain positions in domain order and are not re-checked."""
         fn = object.__new__(cls)
-        _fill(fn, dom, cod, images)
+        object.__setattr__(fn, "dom", dom)
+        object.__setattr__(fn, "cod", cod)
+        object.__setattr__(fn, "images", images)
         return fn
 
     @property
@@ -163,12 +163,6 @@ class SetFunction:
         return len(self.dom) == len(self.cod) == len(set(self.images))
 
 
-def _fill(fn: SetFunction, dom: FinSet, cod: FinSet, images: tuple[int, ...]) -> None:
-    object.__setattr__(fn, "dom", dom)
-    object.__setattr__(fn, "cod", cod)
-    object.__setattr__(fn, "images", images)
-
-
 def identity_function(carrier: FinSet) -> SetFunction:
     return SetFunction._trusted(carrier, carrier, tuple(range(len(carrier))))
 
@@ -179,12 +173,24 @@ def compose_functions(second: SetFunction, first: SetFunction) -> SetFunction:
     return SetFunction._trusted(first.dom, second.cod, _gather(second.images, first.images))
 
 
-@dataclass(frozen=True)
-class SetValuedFunctor:
-    base: FinCategory
-    variance: str
-    on_objects: dict[str, FinSet]
-    on_morphisms: dict[str, SetFunction]
+class SetValuedFunctor(Frozen):
+    """A functor from a finite category into finite sets: a value set for
+    each object and an action for each morphism. Unslotted: the cached slot
+    layout ``first`` lives in the instance dict."""
+
+    _fields = ("base", "variance", "on_objects", "on_morphisms")
+
+    def __init__(
+        self,
+        base: FinCategory,
+        variance: str,
+        on_objects: dict[str, FinSet],
+        on_morphisms: dict[str, SetFunction],
+    ):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "variance", variance)
+        object.__setattr__(self, "on_objects", on_objects)
+        object.__setattr__(self, "on_morphisms", on_morphisms)
 
     def at(self, obj: str) -> FinSet:
         return self.on_objects[obj]
@@ -281,15 +287,17 @@ def validate_functor(
     return SetValuedFunctor(base, variance, objects, morphisms)
 
 
-@dataclass(frozen=True)
-class NatTransformation:
+class NatTransformation(Frozen):
     """``slots[source.first[obj] + k]`` is the target position of the
     image of the k-th element of ``source.at(obj)``; ``component(obj)`` and
     ``components`` are views. The constructor trusts its slots."""
 
-    source: SetValuedFunctor
-    target: SetValuedFunctor
-    slots: tuple[int, ...]
+    __slots__ = _fields = ("source", "target", "slots")
+
+    def __init__(self, source: SetValuedFunctor, target: SetValuedFunctor, slots: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "slots", slots)
 
     def component(self, obj: str) -> SetFunction:
         return SetFunction._trusted(self.source.at(obj), self.target.at(obj), self.slots[self.source.block(obj)])
@@ -545,31 +553,35 @@ def coyoneda_on_morphism(category: FinCategory, morphism: str) -> NatTransformat
     return NatTransformation(coyoneda(category, m.tgt), coyoneda(category, m.src), over_op.slots)
 
 
-@dataclass(frozen=True)
-class Bijection:
-    forward: SetFunction
-    backward: SetFunction
+class Bijection(Frozen):
+    """Two mutually inverse functions; both round trips are checked."""
 
-    def __post_init__(self):
-        if self.forward.dom != self.backward.cod or self.forward.cod != self.backward.dom:
+    __slots__ = _fields = ("forward", "backward")
+
+    def __init__(self, forward: SetFunction, backward: SetFunction):
+        if forward.dom != backward.cod or forward.cod != backward.dom:
             raise ValueError("forward and backward endpoints do not match")
-        forward, backward = self.forward.images, self.backward.images
-        for i, p in enumerate(forward):
-            if backward[p] != i:
-                raise ValueError(f"backward . forward is not the identity at {self.forward.dom.elements[i]!r}")
-        for i, p in enumerate(backward):
-            if forward[p] != i:
-                raise ValueError(f"forward . backward is not the identity at {self.backward.dom.elements[i]!r}")
+        there, back = forward.images, backward.images
+        for i, p in enumerate(there):
+            if back[p] != i:
+                raise ValueError(f"backward . forward is not the identity at {forward.dom.elements[i]!r}")
+        for i, p in enumerate(back):
+            if there[p] != i:
+                raise ValueError(f"forward . backward is not the identity at {backward.dom.elements[i]!r}")
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "backward", backward)
 
 
-@dataclass(frozen=True)
-class YonedaWitness:
+class YonedaWitness(Frozen):
     """The bijection nat(y(X), F) <-> F(X), with the realizing
     transformations kept in enumeration order under labels n0, n1, ..."""
 
-    transformations: list[NatTransformation]
-    labels: FinSet
-    bijection: Bijection
+    __slots__ = _fields = ("transformations", "labels", "bijection")
+
+    def __init__(self, transformations: list[NatTransformation], labels: FinSet, bijection: Bijection):
+        object.__setattr__(self, "transformations", transformations)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "bijection", bijection)
 
 
 def yoneda_lemma_bijection(

@@ -16,9 +16,9 @@ since averaging an admissible function with its conjugate stays admissible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
+
+from .fincat import Frozen
 
 DEFAULT_TOL = 1e-9
 WITNESS_TOL = 1e-6
@@ -68,17 +68,19 @@ class NoWitnessError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteMetricSpace:
+class FiniteMetricSpace(Frozen):
     """Points in a fixed order, their distance matrix, and a point ->
-    position index built once."""
+    position index built once. Compared by identity."""
 
-    points: tuple[str, ...]
-    dist: np.ndarray
-    _positions: dict[str, int] = field(init=False, repr=False)
+    __slots__ = ("points", "dist", "_positions")
+    _fields = ("points", "dist")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "_positions", {p: i for i, p in enumerate(self.points)})
+    def __init__(self, points: tuple[str, ...], dist: np.ndarray):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "_positions", {p: i for i, p in enumerate(points)})
 
     def index(self, point: str) -> int:
         try:
@@ -101,21 +103,25 @@ def _same_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> bool:
     return a.points == b.points and np.array_equal(a.dist, b.dist)
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceFunction:
-    """A candidate point of the tight span: its distance to every point."""
+class DistanceFunction(Frozen):
+    """A candidate point of the tight span: its finite, nonnegative distance
+    to every point. Compared by identity."""
 
-    space: FiniteMetricSpace
-    values: np.ndarray
+    __slots__ = _fields = ("space", "values")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != (len(self.space.points),):
+    def __init__(self, space: FiniteMetricSpace, values: np.ndarray):
+        arr = np.asarray(values, dtype=float)
+        if arr.shape != (len(space.points),):
             raise ValueError(
-                f"expected {len(self.space.points)} values, got shape {arr.shape}"
+                f"expected {len(space.points)} values, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("distance values must be finite")
         if arr.size and arr.min() < 0.0:
             raise ValueError("distance values must be nonnegative")
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", arr)
 
     def value(self, point: str) -> float:
@@ -193,15 +199,17 @@ def conjugate_values(space: FiniteMetricSpace, values: np.ndarray) -> np.ndarray
     return (space.dist - values[None, :]).max(axis=1)
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(Frozen):
     """defect = max(slack, gap). Slack measures admissibility failures,
     gap measures how far each coordinate sits above its best witness."""
 
-    defect: float
-    slack: float
-    gap: float
-    admissible: bool
+    __slots__ = _fields = ("defect", "slack", "gap", "admissible")
+
+    def __init__(self, defect: float, slack: float, gap: float, admissible: bool):
+        object.__setattr__(self, "defect", defect)
+        object.__setattr__(self, "slack", slack)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "admissible", admissible)
 
 
 def extremality_defect(f: DistanceFunction, tol: float = DEFAULT_TOL) -> DefectReport:
@@ -280,10 +288,12 @@ def geodesic_witness(
     raise NoWitnessError(point, float(residuals.min()))
 
 
-@dataclass(frozen=True)
-class TripodResult:
-    legs: tuple[float, float, float]
-    hub: DistanceFunction
+class TripodResult(Frozen):
+    __slots__ = _fields = ("legs", "hub")
+
+    def __init__(self, legs: tuple[float, float, float], hub: DistanceFunction):
+        object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "hub", hub)
 
 
 def tripod(space: FiniteMetricSpace) -> TripodResult:

@@ -297,6 +297,46 @@ def test_non_finite_distances_are_violations(capsys, tmp_path, matrix, witnesses
     assert "finite" in err
 
 
+@pytest.mark.parametrize("subcommand", ["project", "geodesic-check"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_function_values_are_usage_errors(capsys, subcommand, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, subcommand, "--format", "structured", fx("two_point.metric.json"), "--", value, value,
+        )
+    assert code == 2
+    assert out == "" and caught == []
+    assert err.startswith("catspan: error: ") and err.count("\n") == 1 and "finite" in err
+
+
+TERMINAL_FUNCTOR = {
+    "format": 1, "kind": "functor", "category": "terminal.category.json", "variance": "contra",
+    "objects": {"*": ["a", "a"]}, "morphisms": {},
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand,doc,field,detail",
+    [
+        ("validate-fun", TERMINAL_FUNCTOR, "objects.*", "duplicate element label 'a'"),
+        ("metric-validate", {"format": 1, "kind": "metric", "points": ["a", "a"], "d": [[0, 1], [1, 0]]},
+         "points", "duplicate point label 'a'"),
+        ("metric-validate", {"format": 1, "kind": "metric", "points": [], "d": []}, "points", "at least one point"),
+    ],
+    ids=["functor-duplicate", "metric-duplicate", "metric-empty"],
+)
+def test_bad_labels_are_parse_errors(capsys, tmp_path, subcommand, doc, field, detail):
+    (tmp_path / "terminal.category.json").write_text(fixture_path("terminal.category.json").read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, subcommand, str(path), "--format", "structured")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"catspan: error: {path}: {field}: ") and detail in err
+    assert err.count("\n") == 1
+
+
 def test_tripod(capsys):
     code, out, err = run(capsys, "tripod", fx("triangle345.metric.json"), "--format", "structured")
     assert code == 0

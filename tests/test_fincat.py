@@ -1,17 +1,38 @@
-import dataclasses
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from catspan import (
+    AdjunctionWitness,
+    Bijection,
     CompositionError,
+    ConjugatePair,
+    DefectReport,
+    DistanceFunction,
     FinCategory,
+    FiniteMetricSpace,
+    FinSet,
     Morphism,
+    NatTransformation,
+    ReflexiveVerdict,
+    SetFunction,
+    SetValuedFunctor,
     StructuralError,
+    TripodResult,
     UnknownObjectError,
+    ValidationReport,
+    Violation,
+    YonedaWitness,
+    adjunction_transpose,
+    conjugate_presheaf,
     generators,
+    identity_nat,
     opposite,
     validate_category,
+    yoneda_lemma_bijection,
 )
+from catspan.fincat import Frozen
 
 
 def one_object_nonassoc():
@@ -158,5 +179,95 @@ def test_generators_of_corpus_categories(categories):
     assert generators(categories["z2"]) == (("s",), ())
     assert generators(categories["terminal"]) == ((), ())
     # Declared before its factors, the diagonal is still dropped.
-    diagonal_first = dataclasses.replace(square, morphisms=square.morphisms[-1:] + square.morphisms[:-1])
+    diagonal_first = FinCategory(square.objects, square.morphisms[-1:] + square.morphisms[:-1], square.identity, square.table)
     assert generators(diagonal_first) == (("ab", "ac", "bd", "cd"), (("ad", "bd", "ab"),))
+
+
+# ---------------------------------------------------------- records
+
+
+def _records(categories, presheaves, copresheaves, metrics):
+    """One keyword constructor call per record class, as (class, kwargs)."""
+    from catspan.cli import RunConfig
+
+    arrow, z2 = categories["arrow"], categories["z2"]
+    functor, copresheaf = presheaves["z2"][0], copresheaves["z2"][0]
+    a, b = FinSet(("a", "b")), FinSet(("x", "y"))
+    swap = SetFunction(a, b, {"a": "y", "b": "x"})
+    yoneda_witness = yoneda_lemma_bijection(functor, "*")
+    pair = conjugate_presheaf(functor)
+    adjunction = adjunction_transpose(functor, copresheaf)
+    space = metrics["two_point"]
+    hub = DistanceFunction(space, np.array([1.0, 1.0]))
+
+    def fields(record, *names):
+        return {name: getattr(record, name) for name in names}
+
+    return [
+        (Morphism, dict(label="f", src="A", tgt="B")),
+        (Violation, dict(law="identity-law", witness=("f", "id_A"))),
+        (ValidationReport, dict(ok=False, violations=(Violation("associativity", ("h", "g", "f")),))),
+        (FinCategory, fields(arrow, "objects", "morphisms", "identity", "table")),
+        (FinSet, dict(elements=("a", "b"))),
+        (SetFunction, dict(dom=a, cod=b, mapping={"a": "y", "b": "x"})),
+        (SetValuedFunctor, fields(functor, "base", "variance", "on_objects", "on_morphisms")),
+        (NatTransformation, dict(source=functor, target=functor, slots=identity_nat(functor).slots)),
+        (Bijection, dict(forward=swap, backward=SetFunction(b, a, {"x": "b", "y": "a"}))),
+        (YonedaWitness, fields(yoneda_witness, "transformations", "labels", "bijection")),
+        (ConjugatePair, fields(pair, "original", "conjugate", "evaluation_tables", "index")),
+        (AdjunctionWitness, fields(
+            adjunction, "presheaf", "copresheaf", "left_homset", "right_homset", "transpose",
+            "presheaf_pair", "copresheaf_pair",
+        )),
+        (ReflexiveVerdict, dict(functor=functor, description="*=2", reflexive=True)),
+        (FiniteMetricSpace, dict(points=space.points, dist=space.dist)),
+        (DistanceFunction, dict(space=space, values=np.array([1.0, 1.0]))),
+        (DefectReport, dict(defect=0.5, slack=0.0, gap=0.5, admissible=True)),
+        (TripodResult, dict(legs=(1.0, 2.0, 3.0), hub=hub)),
+        (RunConfig, dict(budget=10, tol=1e-9, seed=0, output_format="structured", output=None)),
+    ]
+
+
+IDENTITY_COMPARED = {"FiniteMetricSpace", "DistanceFunction"}
+
+
+def test_records_are_frozen_values(categories, presheaves, copresheaves, metrics):
+    records = _records(categories, presheaves, copresheaves, metrics)
+    assert {cls for cls, _ in records} == set(Frozen.__subclasses__())
+    assert len(records) == 18
+    for cls, kwargs in records:
+        first, second = cls(**kwargs), cls(**kwargs)
+        assert first == first
+        if cls.__name__ in IDENTITY_COMPARED:
+            assert first != second and len({first, second}) == 2
+        else:
+            assert first == second and not first != second, cls
+            try:
+                assert hash(first) == hash(second), cls
+            except TypeError:  # a dict or list field
+                with pytest.raises(TypeError):
+                    hash(second)
+        assert first != SimpleNamespace(**kwargs) and first != tuple(kwargs.values()), cls
+        name = next(iter(kwargs))
+        with pytest.raises(AttributeError):
+            setattr(first, name, kwargs[name])
+        with pytest.raises(AttributeError):
+            setattr(first, "extra", 1)
+        with pytest.raises(AttributeError):
+            delattr(first, name)
+        assert repr(first).startswith(f"{cls.__name__}(")
+
+
+def test_record_equality_reads_every_field_and_only_fields(categories):
+    assert Morphism("f", "A", "B") != Morphism("f", "A", "C")
+    assert FinSet(("a", "b")) != FinSet(("b", "a"))
+    arrow = categories["arrow"]
+    rebuilt = FinCategory(arrow.objects, arrow.morphisms, dict(arrow.identity), dict(arrow.table))
+    assert rebuilt == arrow and rebuilt._memo is not arrow._memo
+    assert rebuilt._by_label is rebuilt._by_label
+
+
+def test_cached_properties_survive_freezing(presheaves):
+    functor = presheaves["square"][0]
+    assert functor.first is functor.first
+    assert functor.first == {obj: functor.block(obj).start for obj in functor.base.objects}

@@ -1,4 +1,6 @@
-"""Start-up: numpy is imported only by the tight span.
+"""Start-up: numpy is imported only by the tight span, the conjugation
+module only by the conjugation subcommands, and no subcommand imports
+``dataclasses`` or, apart from what numpy loads, ``inspect``.
 
 Each check that depends on what a fresh interpreter has imported runs in a
 subprocess, since this test process has long since loaded numpy.
@@ -10,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from test_acceptance import CLI_SUITE
 
 SRC = Path(catspan.__file__).resolve().parents[1]
 METRIC_SUBCOMMANDS = {"metric-validate", "tripod", "project", "geodesic-check", "sample-span"}
+CONJUGATION_SUBCOMMANDS = {"conjugate", "adjunction-check", "unit", "reflexive-scan"}
 CATEGORY_COMMANDS = [argv for argv in CLI_SUITE if argv[0] not in METRIC_SUBCOMMANDS]
 
 
@@ -53,6 +57,26 @@ print(json.dumps(seen))
     assert [command for command, _, numpy in seen if numpy] == [" ".join(metric)]
 
 
+def test_each_command_imports_only_what_it_runs():
+    """Every command of the suite in its own interpreter. numpy itself
+    imports ``inspect``, so the metric subcommands are exempt from that one."""
+    script = """
+import contextlib, io, json, sys
+import catspan.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = catspan.cli.main(sys.argv[1:] + ["--format", "structured"])
+print(json.dumps([code] + [name in sys.modules for name in ("dataclasses", "inspect", "catspan.isbell")]))
+"""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        seen = list(pool.map(lambda argv: json.loads(run_python(script, *argv)), CLI_SUITE))
+    for argv, (code, dataclasses, inspect, isbell) in zip(CLI_SUITE, seen):
+        assert code == 0, argv
+        assert not dataclasses, argv
+        assert not inspect or argv[0] in METRIC_SUBCOMMANDS, argv
+        assert isbell == (argv[0] in CONJUGATION_SUBCOMMANDS), argv
+    assert CONJUGATION_SUBCOMMANDS <= {argv[0] for argv in CLI_SUITE}
+
+
 def test_tightspan_names_resolve_on_first_use():
     script = """
 import sys
@@ -67,6 +91,20 @@ print(sorted(name for name in catspan._TIGHTSPAN_NAMES if getattr(catspan, name)
     resolved = run_python(script)
     assert resolved.strip() == str(sorted(catspan._TIGHTSPAN_NAMES))
     assert len(catspan._TIGHTSPAN_NAMES) == 19
+
+
+def test_isbell_names_resolve_on_first_use():
+    script = """
+import sys
+import catspan
+assert "catspan.isbell" not in sys.modules
+from catspan import unit
+isbell = catspan.isbell
+assert isbell is sys.modules["catspan.isbell"] and unit is isbell.unit
+print(sorted(name for name in catspan._ISBELL_NAMES if getattr(catspan, name) is getattr(isbell, name)))
+"""
+    assert run_python(script).strip() == str(sorted(catspan._ISBELL_NAMES))
+    assert len(catspan._ISBELL_NAMES) == 10
 
 
 def test_unknown_package_attribute_raises():

@@ -168,6 +168,12 @@ def test_embedding_isometry_exact(metrics):
                 assert d == space.dist[i, j], (name, x, y)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distance_function_rejects_non_finite_values(metrics, bad):
+    with pytest.raises(ValueError, match="finite"):
+        DistanceFunction(metrics["two_point"], np.array([1.0, bad]))
+
+
 # ---------------------------------------------------------- defect
 
 
