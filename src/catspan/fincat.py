@@ -51,6 +51,11 @@ class Frozen:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
+    def __reduce__(self):
+        """Copies and unpickled records are rebuilt through the constructor,
+        since restoring their fields by assignment would raise."""
+        return type(self), self._key()
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
 

@@ -151,6 +151,9 @@ class SetFunction(Frozen):
         object.__setattr__(fn, "images", images)
         return fn
 
+    def __reduce__(self):
+        return SetFunction._trusted, (self.dom, self.cod, self.images)
+
     @property
     def mapping(self) -> dict[str, str]:
         cod = self.cod.elements

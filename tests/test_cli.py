@@ -310,7 +310,7 @@ def test_non_finite_function_values_are_usage_errors(capsys, subcommand, value):
     assert err.startswith("catspan: error: ") and err.count("\n") == 1 and "finite" in err
 
 
-TERMINAL_FUNCTOR = {
+DUPLICATE_LABEL_FUNCTOR = {
     "format": 1, "kind": "functor", "category": "terminal.category.json", "variance": "contra",
     "objects": {"*": ["a", "a"]}, "morphisms": {},
 }
@@ -319,7 +319,7 @@ TERMINAL_FUNCTOR = {
 @pytest.mark.parametrize(
     "subcommand,doc,field,detail",
     [
-        ("validate-fun", TERMINAL_FUNCTOR, "objects.*", "duplicate element label 'a'"),
+        ("validate-fun", DUPLICATE_LABEL_FUNCTOR, "objects.*", "duplicate element label 'a'"),
         ("metric-validate", {"format": 1, "kind": "metric", "points": ["a", "a"], "d": [[0, 1], [1, 0]]},
          "points", "duplicate point label 'a'"),
         ("metric-validate", {"format": 1, "kind": "metric", "points": [], "d": []}, "points", "at least one point"),

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -256,6 +258,8 @@ def test_records_are_frozen_values(categories, presheaves, copresheaves, metrics
         with pytest.raises(AttributeError):
             delattr(first, name)
         assert repr(first).startswith(f"{cls.__name__}(")
+        for clone in (copy.copy(first), pickle.loads(pickle.dumps(first))):
+            assert type(clone) is cls and repr(clone) == repr(first), cls
 
 
 def test_record_equality_reads_every_field_and_only_fields(categories):
