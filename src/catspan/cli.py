@@ -20,6 +20,7 @@ import time
 from pathlib import Path
 
 from .fileformat import (
+    VARIANCE_NAMES,
     ParseError,
     functor_to_dict,
     load_category,
@@ -28,7 +29,7 @@ from .fileformat import (
     load_metric_document,
     recording_reads,
 )
-from .fincat import Frozen, StructuralError, UnknownObjectError, validate_category
+from .fincat import StructuralError, UnknownObjectError, validate_category
 from .setfunc import (
     CONTRAVARIANT,
     COVARIANT,
@@ -45,21 +46,6 @@ from .setfunc import (
 
 class InputError(Exception):
     """User input that cannot be processed (usage-level, exit 2)."""
-
-
-class RunConfig(Frozen):
-    __slots__ = _fields = ("budget", "tol", "seed", "output_format", "output")
-
-    def __init__(self, budget: int, tol: float, seed: int, output_format: str, output: str | None):
-        if budget <= 0:
-            raise InputError("--budget must be positive")
-        if not (math.isfinite(tol) and tol > 0):
-            raise InputError("--tol must be positive and finite")
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "output_format", output_format)
-        object.__setattr__(self, "output", output)
 
 
 def _nat_to_dict(t) -> dict:
@@ -84,8 +70,7 @@ def _load_parallel(left_path: str, right_path: str):
 
 def _require_variance(functor, variance: str, path: str, subcommand: str):
     if functor.variance != variance:
-        expected = "contra" if variance == CONTRAVARIANT else "co"
-        raise InputError(f"{path}: {subcommand} expects a {expected}-variant functor")
+        raise InputError(f"{path}: {subcommand} expects a {VARIANCE_NAMES[variance]}-variant functor")
 
 
 # The metric handlers import ``.tightspan`` when called, so that only they
@@ -118,7 +103,7 @@ def _parse_values(space, raw_values: list[float], path: str):
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_validate_cat(args, config, budget):
+def _cmd_validate_cat(args, budget):
     candidate = load_category(args.file)
     report = validate_category(candidate)
     results = {
@@ -130,7 +115,7 @@ def _cmd_validate_cat(args, config, budget):
     return report.ok, results
 
 
-def _cmd_validate_fun(args, config, budget):
+def _cmd_validate_fun(args, budget):
     try:
         functor = load_functor(args.file)
     except FunctorLawError as exc:
@@ -142,18 +127,18 @@ def _cmd_validate_fun(args, config, budget):
         }
     return True, {
         "valid": True,
-        "variance": "contra" if functor.variance == CONTRAVARIANT else "co",
+        "variance": VARIANCE_NAMES[functor.variance],
         "value_sizes": {obj: len(functor.at(obj)) for obj in functor.base.objects},
     }
 
 
-def _cmd_hom(args, config, budget):
+def _cmd_hom(args, budget):
     category = load_lawful_category(args.file)
     morphisms = category.hom_set(args.src, args.tgt)
     return True, {"src": args.src, "tgt": args.tgt, "morphisms": morphisms}
 
 
-def _cmd_nat(args, config, budget):
+def _cmd_nat(args, budget):
     left, right = _load_parallel(args.source, args.target)
     nats = enumerate_nat(left, right, budget)
     return True, {
@@ -162,7 +147,7 @@ def _cmd_nat(args, config, budget):
     }
 
 
-def _cmd_yoneda(args, config, budget):
+def _cmd_yoneda(args, budget):
     category = load_lawful_category(args.file)
     if args.object not in category.objects:
         raise InputError(f"unknown object {args.object!r}")
@@ -173,7 +158,7 @@ def _cmd_yoneda(args, config, budget):
     }
 
 
-def _cmd_yoneda_check(args, config, budget):
+def _cmd_yoneda_check(args, budget):
     functor = _load_functor_checked(args.file)
     _require_variance(functor, CONTRAVARIANT, args.file, "yoneda-check")
     if args.object not in functor.base.objects:
@@ -191,13 +176,13 @@ def _cmd_yoneda_check(args, config, budget):
     }
 
 
-def _cmd_sum(args, config, budget):
+def _cmd_sum(args, budget):
     left, right = _load_parallel(args.left, args.right)
     total = pointwise_sum(left, right)
     return True, {"functor": functor_to_dict(total)}
 
 
-def _cmd_conjugate(args, config, budget):
+def _cmd_conjugate(args, budget):
     from .isbell import conjugate_copresheaf, conjugate_presheaf
 
     functor = _load_functor_checked(args.file)
@@ -217,7 +202,7 @@ def _cmd_conjugate(args, config, budget):
     }
 
 
-def _cmd_adjunction_check(args, config, budget):
+def _cmd_adjunction_check(args, budget):
     from .isbell import adjunction_transpose
 
     presheaf = _load_functor_checked(args.presheaf)
@@ -239,7 +224,7 @@ def _cmd_adjunction_check(args, config, budget):
     }
 
 
-def _cmd_unit(args, config, budget):
+def _cmd_unit(args, budget):
     from .isbell import unit
 
     functor = _load_functor_checked(args.file)
@@ -254,7 +239,7 @@ def _cmd_unit(args, config, budget):
     }
 
 
-def _cmd_reflexive_scan(args, config, budget):
+def _cmd_reflexive_scan(args, budget):
     from .isbell import reflexive_scan
 
     category = load_lawful_category(args.file)
@@ -267,12 +252,12 @@ def _cmd_reflexive_scan(args, config, budget):
     }
 
 
-def _cmd_metric_validate(args, config, budget):
+def _cmd_metric_validate(args, budget):
     from .tightspan import MetricError, validate_metric
 
     points, matrix = load_metric_document(args.file)
     try:
-        space = validate_metric(points, matrix, config.tol)
+        space = validate_metric(points, matrix, args.tol)
     except MetricError as exc:
         return False, {
             "valid": False,
@@ -281,27 +266,27 @@ def _cmd_metric_validate(args, config, budget):
     return True, {"valid": True, "points": len(space.points), "diameter": space.diameter}
 
 
-def _cmd_tripod(args, config, budget):
+def _cmd_tripod(args, budget):
     from .tightspan import extremality_defect, tripod
 
-    space = _load_valid_metric(args.file, config.tol)
+    space = _load_valid_metric(args.file, args.tol)
     if len(space.points) != 3:
         raise InputError(f"tripod needs a 3-point metric, {args.file} has {len(space.points)} points")
     result = tripod(space)
     return True, {
         "legs": list(result.legs),
         "hub": result.hub.as_dict(),
-        "hub_defect": extremality_defect(result.hub, config.tol).defect,
+        "hub_defect": extremality_defect(result.hub, args.tol).defect,
     }
 
 
-def _cmd_project(args, config, budget):
+def _cmd_project(args, budget):
     from .tightspan import InadmissibleError, ProjectionError, extremal_project, extremality_defect
 
-    space = _load_valid_metric(args.file, config.tol)
+    space = _load_valid_metric(args.file, args.tol)
     f = _parse_values(space, args.values, args.file)
     try:
-        g = extremal_project(f, config.tol)
+        g = extremal_project(f, args.tol)
     except InadmissibleError as exc:
         return False, {
             "converged": False,
@@ -320,18 +305,18 @@ def _cmd_project(args, config, budget):
         "converged": True,
         "input": f.as_dict(),
         "output": g.as_dict(),
-        "defect": extremality_defect(g, config.tol).defect,
+        "defect": extremality_defect(g, args.tol).defect,
     }
 
 
-def _cmd_geodesic_check(args, config, budget):
+def _cmd_geodesic_check(args, budget):
     from .tightspan import NoWitnessError, extremality_defect, geodesic_witness, sample_tight_span
 
-    space = _load_valid_metric(args.file, config.tol)
+    space = _load_valid_metric(args.file, args.tol)
     if args.values:
         f = _parse_values(space, args.values, args.file)
-        report = extremality_defect(f, config.tol)
-        if report.defect > config.tol:
+        report = extremality_defect(f, args.tol)
+        if report.defect > args.tol:
             return False, {
                 "all_ok": False,
                 "reason": "input-not-extremal",
@@ -339,7 +324,7 @@ def _cmd_geodesic_check(args, config, budget):
             }
         candidates = [f]
     else:
-        candidates = sample_tight_span(space, args.samples, config.seed, config.tol)
+        candidates = sample_tight_span(space, args.samples, args.seed, args.tol)
     witnesses = []
     failures = []
     for i, f in enumerate(candidates):
@@ -358,14 +343,14 @@ def _cmd_geodesic_check(args, config, budget):
     }
 
 
-def _cmd_sample_span(args, config, budget):
+def _cmd_sample_span(args, budget):
     from .tightspan import sample_tight_span
 
-    space = _load_valid_metric(args.file, config.tol)
-    samples = sample_tight_span(space, args.count, config.seed, config.tol)
+    space = _load_valid_metric(args.file, args.tol)
+    samples = sample_tight_span(space, args.count, args.seed, args.tol)
     return True, {
         "count": len(samples),
-        "seed": config.seed,
+        "seed": args.seed,
         "samples": [s.as_dict() for s in samples],
     }
 
@@ -480,15 +465,15 @@ def _render_text(value, indent: int = 0) -> list[str]:
     return lines
 
 
-def _emit(report: dict, config: RunConfig, elapsed: float) -> None:
-    if config.output_format == "structured":
+def _emit(report: dict, args: argparse.Namespace, elapsed: float) -> None:
+    if args.output_format == "structured":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         lines = _render_text(report)
         lines.append(f"elapsed: {elapsed:.3f}s")
         text = "\n".join(lines) + "\n"
-    if config.output:
-        Path(config.output).write_text(text)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -502,10 +487,13 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.perf_counter()
     try:
-        config = RunConfig(args.budget, args.tol, args.seed, args.output_format, args.output)
-        budget = Budget(config.budget)
+        if args.budget <= 0:
+            raise InputError("--budget must be positive")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise InputError("--tol must be positive and finite")
+        budget = Budget(args.budget)
         with recording_reads() as reads:
-            ok, results = HANDLERS[args.subcommand](args, config, budget)
+            ok, results = HANDLERS[args.subcommand](args, budget)
         report = {
             "format": 1,
             "subcommand": args.subcommand,
@@ -513,13 +501,13 @@ def main(argv: list[str] | None = None) -> int:
                 "paths": [path for path, _ in reads],
                 "sha256": hashlib.sha256(b"".join(data for _, data in reads)).hexdigest(),
             },
-            "config": {"budget": config.budget, "tol": config.tol, "seed": config.seed},
+            "config": {"budget": args.budget, "tol": args.tol, "seed": args.seed},
             "ok": ok,
             "results": results,
             "budget": {"cap": budget.cap, "used": budget.used},
             "timing": None,  # suppressed for byte-deterministic reports; see text mode
         }
-        _emit(report, config, time.perf_counter() - started)
+        _emit(report, args, time.perf_counter() - started)
     except (ParseError, StructuralError, InputError, UnknownObjectError) as exc:
         print(f"catspan: error: {exc}", file=sys.stderr)
         return 2

@@ -279,11 +279,3 @@ def functor_to_dict(functor: SetValuedFunctor, category_ref: str | dict | None =
         "morphisms": {m.label: dict(functor.act(m.label).mapping) for m in functor.base.morphisms},
     }
 
-
-def metric_to_dict(points, matrix) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "metric",
-        "points": list(points),
-        "d": [[float(x) for x in row] for row in matrix],
-    }

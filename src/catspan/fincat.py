@@ -26,15 +26,32 @@ class CompositionError(ValueError):
 
 class Frozen:
     """Base of the library's immutable records. A subclass names its fields
-    in ``_fields``, in constructor order, and its ``__init__`` sets each one
-    once through ``object.__setattr__``; after that, assigning or deleting
-    an attribute raises AttributeError. Two records are equal when they are
-    of the same class and their fields are equal, and a record hashes as the
-    tuple of its fields. A record compared by identity restores
-    ``object.__eq__`` and ``object.__hash__``."""
+    in ``_fields``, in constructor order. The constructor takes them by
+    position or keyword, like a written-out signature, and sets each one
+    once through ``object.__setattr__``; a record whose constructor checks
+    or converts its arguments writes its own ``__init__``. After that,
+    assigning or deleting an attribute raises AttributeError. Two records
+    are equal when they are of the same class and their fields are equal,
+    and a record hashes as the tuple of its fields. A record compared by
+    identity restores ``object.__eq__`` and ``object.__hash__``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        for field in fields[len(args):]:
+            if field not in kwargs:
+                raise TypeError(f"{name}() missing argument {field!r}")
+            object.__setattr__(self, field, kwargs.pop(field))
+        if kwargs:  # left over: a field also given by position, or no field at all
+            field = next(iter(kwargs))
+            problem = "multiple values for" if field in fields else "an unexpected keyword"
+            raise TypeError(f"{name}() got {problem} argument {field!r}")
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -66,26 +83,13 @@ class Frozen:
 class Morphism(Frozen):
     __slots__ = _fields = ("label", "src", "tgt")
 
-    def __init__(self, label: str, src: str, tgt: str):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "tgt", tgt)
-
 
 class Violation(Frozen):
     __slots__ = _fields = ("law", "witness")
 
-    def __init__(self, law: str, witness: tuple[str, ...]):
-        object.__setattr__(self, "law", law)
-        object.__setattr__(self, "witness", witness)
-
 
 class ValidationReport(Frozen):
     __slots__ = _fields = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: tuple[Violation, ...]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "violations", violations)
 
 
 class FinCategory(Frozen):
@@ -94,18 +98,6 @@ class FinCategory(Frozen):
     cached properties live in the instance dict."""
 
     _fields = ("objects", "morphisms", "identity", "table")
-
-    def __init__(
-        self,
-        objects: tuple[str, ...],
-        morphisms: tuple[Morphism, ...],
-        identity: dict[str, str],
-        table: dict[tuple[str, str], str],
-    ):
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "morphisms", morphisms)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "table", table)
 
     @cached_property
     def _by_label(self) -> dict[str, Morphism]:

@@ -65,18 +65,6 @@ class ConjugatePair(Frozen):
 
     __slots__ = _fields = ("original", "conjugate", "evaluation_tables", "index")
 
-    def __init__(
-        self,
-        original: SetValuedFunctor,
-        conjugate: SetValuedFunctor,
-        evaluation_tables: dict[str, list[NatTransformation]],
-        index: dict[str, dict[tuple[int, ...], int]],
-    ):
-        object.__setattr__(self, "original", original)
-        object.__setattr__(self, "conjugate", conjugate)
-        object.__setattr__(self, "evaluation_tables", evaluation_tables)
-        object.__setattr__(self, "index", index)
-
     def label_of(self, obj: str, t: NatTransformation) -> str:
         return f"t{_locate(self.index, obj, t.slots)}"
 
@@ -174,24 +162,6 @@ class AdjunctionWitness(Frozen):
         "presheaf", "copresheaf", "left_homset", "right_homset", "transpose", "presheaf_pair", "copresheaf_pair",
     )
 
-    def __init__(
-        self,
-        presheaf: SetValuedFunctor,
-        copresheaf: SetValuedFunctor,
-        left_homset: list[NatTransformation],
-        right_homset: list[NatTransformation],
-        transpose: Bijection,
-        presheaf_pair: ConjugatePair,
-        copresheaf_pair: ConjugatePair,
-    ):
-        object.__setattr__(self, "presheaf", presheaf)
-        object.__setattr__(self, "copresheaf", copresheaf)
-        object.__setattr__(self, "left_homset", left_homset)
-        object.__setattr__(self, "right_homset", right_homset)
-        object.__setattr__(self, "transpose", transpose)
-        object.__setattr__(self, "presheaf_pair", presheaf_pair)
-        object.__setattr__(self, "copresheaf_pair", copresheaf_pair)
-
 
 def _transpose(h: NatTransformation, pair: ConjugatePair, other_pair: ConjugatePair) -> NatTransformation:
     """The transpose F => G* of h: G => F*, where pair is (F, F*) and
@@ -281,11 +251,6 @@ def unit(presheaf: SetValuedFunctor, budget: Budget | int | None = None) -> NatT
 
 class ReflexiveVerdict(Frozen):
     __slots__ = _fields = ("functor", "description", "reflexive")
-
-    def __init__(self, functor: SetValuedFunctor, description: str, reflexive: bool):
-        object.__setattr__(self, "functor", functor)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "reflexive", reflexive)
 
 
 def _describe(base: FinCategory, functor: SetValuedFunctor, action_morphisms: list[str]) -> str:

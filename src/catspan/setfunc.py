@@ -183,6 +183,9 @@ class SetValuedFunctor(Frozen):
 
     _fields = ("base", "variance", "on_objects", "on_morphisms")
 
+    # This constructor and NatTransformation's are written out: a functor is
+    # built per scan candidate and a transformation per search solution, and
+    # there Frozen's generic constructor measured slower.
     def __init__(
         self,
         base: FinCategory,
@@ -571,8 +574,7 @@ class Bijection(Frozen):
         for i, p in enumerate(back):
             if there[p] != i:
                 raise ValueError(f"forward . backward is not the identity at {backward.dom.elements[i]!r}")
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "backward", backward)
+        super().__init__(forward, backward)
 
 
 class YonedaWitness(Frozen):
@@ -580,11 +582,6 @@ class YonedaWitness(Frozen):
     transformations kept in enumeration order under labels n0, n1, ..."""
 
     __slots__ = _fields = ("transformations", "labels", "bijection")
-
-    def __init__(self, transformations: list[NatTransformation], labels: FinSet, bijection: Bijection):
-        object.__setattr__(self, "transformations", transformations)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "bijection", bijection)
 
 
 def yoneda_lemma_bijection(

@@ -23,6 +23,12 @@ from .fincat import Frozen
 DEFAULT_TOL = 1e-9
 WITNESS_TOL = 1e-6
 MAX_ITERATIONS = 10_000
+# The largest distance accepted, checked where distances and function values
+# enter, so that every sum this module forms stays finite. A sample start adds
+# up to the diameter to a row of distances, so function values may reach
+# 2 * MAX_DISTANCE. The widest sum is then the slack d(x, y) - f(x) - f(y),
+# of magnitude at most 5 * MAX_DISTANCE, below the largest float.
+MAX_DISTANCE = float(np.finfo(float).max) / 8
 
 
 class MetricError(ValueError):
@@ -78,8 +84,7 @@ class FiniteMetricSpace(Frozen):
     __hash__ = object.__hash__
 
     def __init__(self, points: tuple[str, ...], dist: np.ndarray):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "dist", dist)
+        super().__init__(points, dist)
         object.__setattr__(self, "_positions", {p: i for i, p in enumerate(points)})
 
     def index(self, point: str) -> int:
@@ -104,8 +109,8 @@ def _same_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> bool:
 
 
 class DistanceFunction(Frozen):
-    """A candidate point of the tight span: its finite, nonnegative distance
-    to every point. Compared by identity."""
+    """A candidate point of the tight span: its nonnegative distance to
+    every point, at most 2 * MAX_DISTANCE. Compared by identity."""
 
     __slots__ = _fields = ("space", "values")
     __eq__ = object.__eq__
@@ -121,8 +126,9 @@ class DistanceFunction(Frozen):
             raise ValueError("distance values must be finite")
         if arr.size and arr.min() < 0.0:
             raise ValueError("distance values must be nonnegative")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", arr)
+        if arr.size and arr.max() > 2 * MAX_DISTANCE:
+            raise ValueError(f"distance values must be at most {2 * MAX_DISTANCE:.6g}")
+        super().__init__(space, arr)
 
     def value(self, point: str) -> float:
         return float(self.values[self.space.index(point)])
@@ -136,7 +142,8 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
 
     Shape mismatches raise ValueError; axiom failures raise MetricError
     carrying every violation with a witness tuple. Non-finite entries come
-    first, as axiom ``finite`` with their (row, column) points; then
+    first, as axiom ``finite`` with their (row, column) points, and finite
+    entries above MAX_DISTANCE next, as ``oversized-entry``; then
     ``negative-entry`` in row-major order, ``nonzero-diagonal``, per pair
     i < j ``asymmetry`` before ``zero-distance``, and ``triangle`` in
     (i, j, k) order.
@@ -160,6 +167,10 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     # and sums past the float range are inf; neither is worth a warning. The
     # comparisons below read NaN as "no violation", as the scalar axioms do.
     with np.errstate(invalid="ignore", over="ignore"):
+        violations += [
+            ("oversized-entry", (labels[i], labels[j]))
+            for i, j in np.argwhere(np.isfinite(d) & (d > MAX_DISTANCE)).tolist()
+        ]
         violations += [
             ("negative-entry", (labels[i], labels[j])) for i, j in np.argwhere(d < -tol).tolist()
         ]
@@ -204,12 +215,6 @@ class DefectReport(Frozen):
     gap measures how far each coordinate sits above its best witness."""
 
     __slots__ = _fields = ("defect", "slack", "gap", "admissible")
-
-    def __init__(self, defect: float, slack: float, gap: float, admissible: bool):
-        object.__setattr__(self, "defect", defect)
-        object.__setattr__(self, "slack", slack)
-        object.__setattr__(self, "gap", gap)
-        object.__setattr__(self, "admissible", admissible)
 
 
 def extremality_defect(f: DistanceFunction, tol: float = DEFAULT_TOL) -> DefectReport:
@@ -290,10 +295,6 @@ def geodesic_witness(
 
 class TripodResult(Frozen):
     __slots__ = _fields = ("legs", "hub")
-
-    def __init__(self, legs: tuple[float, float, float], hub: DistanceFunction):
-        object.__setattr__(self, "legs", legs)
-        object.__setattr__(self, "hub", hub)
 
 
 def tripod(space: FiniteMetricSpace) -> TripodResult:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -125,6 +126,10 @@ def full_product_count(category, max_set_size: int) -> int:
     return total
 
 
+# An eighth of the largest float: sums of a few such distances stay finite.
+MAX_DISTANCE = sys.float_info.max / 8
+
+
 def brute_force_metric_violations(labels, d, tol) -> list[tuple[str, tuple[str, ...]]]:
     """Every metric axiom violation, checked entry by entry and triple by
     triple, in the order the library reports them."""
@@ -135,6 +140,12 @@ def brute_force_metric_violations(labels, d, tol) -> list[tuple[str, tuple[str, 
         for i in range(n)
         for j in range(n)
         if not math.isfinite(d[i][j])
+    ]
+    violations += [
+        ("oversized-entry", (labels[i], labels[j]))
+        for i in range(n)
+        for j in range(n)
+        if math.isfinite(d[i][j]) and d[i][j] > MAX_DISTANCE
     ]
     for i in range(n):
         for j in range(n):

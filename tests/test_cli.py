@@ -310,6 +310,34 @@ def test_non_finite_function_values_are_usage_errors(capsys, subcommand, value):
     assert err.startswith("catspan: error: ") and err.count("\n") == 1 and "finite" in err
 
 
+@pytest.mark.parametrize("subcommand", ["project", "geodesic-check"])
+def test_function_values_whose_sums_overflow_are_usage_errors(capsys, subcommand):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, subcommand, "--format", "structured", fx("two_point.metric.json"), "1e308", "1e308")
+    assert code == 2
+    assert out == "" and caught == []
+    assert err.startswith("catspan: error: distance values must be at most ") and err.count("\n") == 1
+
+
+def test_distances_whose_sums_overflow_are_violations(capsys, tmp_path):
+    path = tmp_path / "huge.metric.json"
+    d = [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]
+    path.write_text(json.dumps({"format": 1, "kind": "metric", "points": ["a", "b", "c"], "d": d}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "metric-validate", str(path), "--format", "structured")
+        assert code == 1 and err == ""
+        violations = json.loads(out)["results"]["violations"]
+        assert violations[0] == {"axiom": "oversized-entry", "witness": ["a", "b"]}
+        assert {v["axiom"] for v in violations} == {"oversized-entry"} and len(violations) == 6
+        for subcommand in ("tripod", "sample-span"):
+            code, out, err = run(capsys, subcommand, str(path), "--format", "structured")
+            assert code == 2 and out == ""
+            assert err == f"catspan: error: {path}: not a valid metric (oversized-entry at ('a', 'b')); run metric-validate\n"
+    assert caught == []
+
+
 DUPLICATE_LABEL_FUNCTOR = {
     "format": 1, "kind": "functor", "category": "terminal.category.json", "variance": "contra",
     "objects": {"*": ["a", "a"]}, "morphisms": {},
@@ -402,6 +430,14 @@ def test_budget_exceeded_exit_two(capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_non_positive_budget_is_a_usage_error(capsys, budget):
+    code, out, err = run(capsys, "nat", fx("z2_regular.presheaf.json"), fx("z2_regular.presheaf.json"), "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert err == "catspan: error: --budget must be positive\n"
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

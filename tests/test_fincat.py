@@ -190,8 +190,6 @@ def test_generators_of_corpus_categories(categories):
 
 def _records(categories, presheaves, copresheaves, metrics):
     """One keyword constructor call per record class, as (class, kwargs)."""
-    from catspan.cli import RunConfig
-
     arrow, z2 = categories["arrow"], categories["z2"]
     functor, copresheaf = presheaves["z2"][0], copresheaves["z2"][0]
     a, b = FinSet(("a", "b")), FinSet(("x", "y"))
@@ -226,7 +224,6 @@ def _records(categories, presheaves, copresheaves, metrics):
         (DistanceFunction, dict(space=space, values=np.array([1.0, 1.0]))),
         (DefectReport, dict(defect=0.5, slack=0.0, gap=0.5, admissible=True)),
         (TripodResult, dict(legs=(1.0, 2.0, 3.0), hub=hub)),
-        (RunConfig, dict(budget=10, tol=1e-9, seed=0, output_format="structured", output=None)),
     ]
 
 
@@ -236,7 +233,7 @@ IDENTITY_COMPARED = {"FiniteMetricSpace", "DistanceFunction"}
 def test_records_are_frozen_values(categories, presheaves, copresheaves, metrics):
     records = _records(categories, presheaves, copresheaves, metrics)
     assert {cls for cls, _ in records} == set(Frozen.__subclasses__())
-    assert len(records) == 18
+    assert len(records) == 17
     for cls, kwargs in records:
         first, second = cls(**kwargs), cls(**kwargs)
         assert first == first
@@ -251,6 +248,14 @@ def test_records_are_frozen_values(categories, presheaves, copresheaves, metrics
                     hash(second)
         assert first != SimpleNamespace(**kwargs) and first != tuple(kwargs.values()), cls
         name = next(iter(kwargs))
+        for bad_args, bad_kwargs in [
+            ((), {k: v for k, v in kwargs.items() if k != name}),  # a missing field
+            ((*kwargs.values(), None), {}),  # a surplus positional
+            ((), dict(kwargs, extra=1)),  # an unknown keyword
+            ((kwargs[name],), kwargs),  # a positional repeated as a keyword
+        ]:
+            with pytest.raises(TypeError):
+                cls(*bad_args, **bad_kwargs)
         with pytest.raises(AttributeError):
             setattr(first, name, kwargs[name])
         with pytest.raises(AttributeError):

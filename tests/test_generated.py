@@ -10,7 +10,8 @@ so a composite is often declared before its factors. The properties check
 ``enumerate_nat`` and ``reflexive_scan`` against the unpruned oracles.
 Over representables and their sums they check the Yoneda count, the
 adjunction's transpose, the reflexivity of representables and the
-triangle identity of the conjugation adjunction.
+triangle identity of the conjugation adjunction; over scanned functors,
+that reflexivity is invariant under isomorphism.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from hypothesis import assume, given, settings, strategies as st
 
 from catspan import (
+    CONTRAVARIANT,
     FinCategory,
     Morphism,
     adjunction_transpose,
@@ -32,11 +34,13 @@ from catspan import (
     generators,
     identity_nat,
     is_natural_iso,
+    iso_check,
     make_transformation,
     pointwise_sum,
     reflexive_scan,
     unit,
     validate_category,
+    validate_functor,
     yoneda,
     yoneda_lemma_bijection,
 )
@@ -54,6 +58,8 @@ from oracles import (
 # unpruned oracles are asked to try.
 FAMILY_CAP = 1_000
 CANDIDATE_CAP = 50_000
+# Largest number of candidates a scan is run on just to draw one functor.
+RELABEL_CANDIDATE_CAP = 500
 # Largest total number of elements of a sum of two representables that the
 # conjugation properties take. The triangle identity conjugates three times,
 # and the third conjugate of y + y over a 3-element monoid already exceeds
@@ -260,3 +266,33 @@ def test_triangle_identity(category, data):
     eta_star = conjugate_transform(unit(presheaf), tstar, star)
     composite = compose_nat(eta_star, eta_prime)
     assert component_signature(composite) == component_signature(identity_nat(star.conjugate))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(categories, st.data())
+def test_reflexivity_is_invariant_under_relabelling(category, data):
+    """Permuting each value set of a scanned functor F, and conjugating its
+    actions to match, gives an isomorphic functor that the scan also
+    reports, with the same verdict."""
+    assume(full_product_count(category, 2) <= RELABEL_CANDIDATE_CAP)
+    verdicts = reflexive_scan(category, 2)
+    movable = [v for v in verdicts if any(len(v.functor.at(obj)) == 2 for obj in category.objects)]
+    assume(movable)
+    verdict = data.draw(st.sampled_from(movable))
+    functor = verdict.functor
+    # Value sets have at most two elements, so a permutation is the identity
+    # or the swap; at least one object is swapped.
+    pairs = [obj for obj in category.objects if len(functor.at(obj)) == 2]
+    swapped = data.draw(st.sets(st.sampled_from(pairs), min_size=1))
+    perm = {obj: [1, 0] if obj in swapped else list(range(len(functor.at(obj)))) for obj in category.objects}
+    on_morphisms = {}
+    for m in category.morphisms:
+        action = functor.act(m.label)
+        dom, cod = perm[m.tgt], perm[m.src]  # contravariant action
+        on_morphisms[m.label] = {
+            action.dom.elements[dom[k]]: action.cod.elements[cod[p]] for k, p in enumerate(action.images)
+        }
+    relabelled = validate_functor(category, CONTRAVARIANT, functor.on_objects, on_morphisms)
+    assert is_natural_iso(unit(relabelled)) == verdict.reflexive
+    assert iso_check(functor, relabelled) is not None
+    assert relabelled in [v.functor for v in verdicts]

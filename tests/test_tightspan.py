@@ -19,6 +19,7 @@ from catspan import (
     tripod,
     validate_metric,
 )
+from catspan.tightspan import MAX_DISTANCE
 from oracles import brute_force_metric_violations, reference_projection
 
 TOL = 1e-9
@@ -61,6 +62,23 @@ def test_axiom_violations_named():
     assert err.value.violations[0] == ("finite", ("a", "b"))
 
 
+def test_entries_whose_sums_overflow_are_violations():
+    with pytest.raises(MetricError) as err:
+        validate_metric(["a", "b", "c"], [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]])
+    assert err.value.violations == [
+        ("oversized-entry", pair) for pair in [("a", "b"), ("a", "c"), ("b", "a"), ("b", "c"), ("c", "a"), ("c", "b")]
+    ]
+    # Just below the bound every sum the module forms stays finite; tier-1
+    # turns an overflow warning into an error.
+    big = MAX_DISTANCE * (1 - 1e-15)
+    space = validate_metric(["a", "b", "c"], [[0, big, big], [big, 0, big], [big, big, 0]])
+    assert tripod(space).legs == (big / 2,) * 3
+    tol = TOL * big  # an absolute 1e-9 is below the float spacing here
+    for f in sample_tight_span(space, 5, seed=1, tol=tol):
+        assert extremality_defect(f, tol).defect <= tol
+        assert [geodesic_witness(f, x, witness_tol=tol) for x in space.points]
+
+
 def test_shape_mismatch_is_not_an_axiom_failure():
     with pytest.raises(ValueError):
         validate_metric(["a", "b"], [[0, 1, 2], [1, 0, 1]])
@@ -74,9 +92,9 @@ def _violations(labels, d):
     return []
 
 
-# Non-finite, negative, near-zero, exact-zero and ordinary entries; drawn
-# independently they also give asymmetric pairs and triangle failures.
-ENTRY_POOL = [math.nan, math.inf, -math.inf, -1.0, -1e-10, 0.0, 1e-10, 1.0, 2.0, 3.5]
+# Non-finite, oversized, negative, near-zero, exact-zero and ordinary entries;
+# drawn independently they also give asymmetric pairs and triangle failures.
+ENTRY_POOL = [math.nan, math.inf, -math.inf, 1e308, -1e308, -1.0, -1e-10, 0.0, 1e-10, 1.0, 2.0, 3.5]
 
 
 @st.composite
@@ -172,6 +190,14 @@ def test_embedding_isometry_exact(metrics):
 def test_distance_function_rejects_non_finite_values(metrics, bad):
     with pytest.raises(ValueError, match="finite"):
         DistanceFunction(metrics["two_point"], np.array([1.0, bad]))
+
+
+def test_distance_function_rejects_values_whose_sums_overflow(metrics):
+    space = metrics["two_point"]
+    with pytest.raises(ValueError, match="at most"):
+        DistanceFunction(space, np.array([1e308, 1e308]))
+    f = DistanceFunction(space, np.array([2 * MAX_DISTANCE, 2 * MAX_DISTANCE]))
+    assert extremal_project(f).as_dict() == {"x1": 1.0, "x2": 1.0}
 
 
 # ---------------------------------------------------------- defect
