@@ -264,6 +264,32 @@ def _describe(base: FinCategory, functor: SetValuedFunctor, action_morphisms: li
     return f"{sizes}; {' '.join(actions)}"
 
 
+def _isomorphism_class(key: tuple, swaps: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]) -> set[tuple]:
+    """Every key reachable from ``key`` by the relabellings ``swaps``.
+
+    A key is the tuple of the generators' image tuples. A swap lists, for
+    each generator it moves, (j, positions, values): the j-th image tuple
+    becomes values[images[p]] for p in positions. The swaps of a size
+    vector are the adjacent transpositions of each value set, which
+    generate every per-object relabelling, so the search visits each key
+    of the class once and tries every swap on it.
+    """
+    found = {key}
+    frontier = [key]
+    while frontier:
+        current = frontier.pop()
+        for swap in swaps:
+            moved = list(current)
+            for j, positions, values in swap:
+                images = current[j]
+                moved[j] = tuple(values[images[p]] for p in positions)
+            moved = tuple(moved)
+            if moved not in found:
+                found.add(moved)
+                frontier.append(moved)
+    return found
+
+
 def reflexive_scan(
     category: FinCategory,
     max_set_size: int = 2,
@@ -271,8 +297,8 @@ def reflexive_scan(
 ) -> list[ReflexiveVerdict]:
     """Enumerate every contravariant functor with value sets of at most the
     given size (structural duplicates included, isomorphic ones not merged),
-    compute the comparison into its double conjugate, and report whether it
-    is an isomorphism.
+    and report whether the comparison into its double conjugate is an
+    isomorphism.
 
     A candidate picks an action for each generating morphism of the
     category, derives every other action along its derivation, F(g . f) =
@@ -282,12 +308,23 @@ def reflexive_scan(
     within one the functors are reported in lexicographic order of the
     actions of every non-identity morphism in declaration order, so the
     report order is deterministic.
+
+    Whether the comparison is an isomorphism does not change under
+    isomorphism of functors, so it is computed once per isomorphism class:
+    for the first functor of the class in report order, whose verdict is
+    recorded for every member. Two functors of one size vector are
+    isomorphic exactly when a permutation of each value set carries the
+    generators' actions of one to the other's. The class is found by
+    closing the representative's actions under the adjacent transpositions
+    of each value set; for a generator u: X -> Y, a transposition at Y
+    swaps two positions of F(u) and one at X swaps two of its values.
     """
     if max_set_size < 0:
         raise ValueError("max_set_size must be nonnegative")
     b = Budget.coerce(budget)
     gens, derivations = generators(category)
     non_identity = [m.label for m in category.morphisms if not category.is_identity(m.label)]
+    ends = [(category.morphism(label).src, category.morphism(label).tgt) for label in gens]
     verdicts: list[ReflexiveVerdict] = []
 
     for sizes in itertools.product(range(max_set_size + 1), repeat=len(category.objects)):
@@ -318,9 +355,26 @@ def reflexive_scan(
                 except FunctorLawError:
                     continue
             functors.sort(key=lambda functor: tuple(functor.act(label).images for label in non_identity))
+            swaps = []
+            for obj, n in zip(category.objects, sizes):
+                for k in range(n - 1):
+                    swap = []
+                    for j, (src, tgt) in enumerate(ends):
+                        if obj in (src, tgt):
+                            positions = list(range(len(on_objects[tgt])))
+                            values = list(range(len(on_objects[src])))
+                            if tgt == obj:
+                                positions[k], positions[k + 1] = k + 1, k
+                            if src == obj:
+                                values[k], values[k + 1] = k + 1, k
+                            swap.append((j, tuple(positions), tuple(values)))
+                    swaps.append(swap)
+            verdict_of: dict[tuple, bool] = {}
             for functor in functors:
-                comparison = unit(functor, b)
-                verdicts.append(
-                    ReflexiveVerdict(functor, _describe(category, functor, non_identity), is_natural_iso(comparison))
-                )
+                key = tuple(functor.act(label).images for label in gens)
+                reflexive = verdict_of.get(key)
+                if reflexive is None:
+                    reflexive = is_natural_iso(unit(functor, b))
+                    verdict_of.update(dict.fromkeys(_isomorphism_class(key, swaps), reflexive))
+                verdicts.append(ReflexiveVerdict(functor, _describe(category, functor, non_identity), reflexive))
     return verdicts

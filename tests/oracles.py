@@ -4,10 +4,11 @@ Nothing here calls the pruned enumerator or the library's naturality
 validator; transformations are represented as plain per-object mapping
 dicts and every square is checked by direct loops. The scan oracle tries
 every action on every morphism and checks the composition table entry by
-entry. The metric oracles import nothing from catspan: the axioms are
-checked by a scalar loop over every entry, pair and triple, and the
-reference projection recomputes the full defect, slack included, on every
-round.
+entry, and the isomorphism-class count relabels each functor it finds by
+every choice of per-object permutations. The metric oracles import
+nothing from catspan: the axioms are checked by a scalar loop over every
+entry, pair and triple, and the reference projection recomputes the full
+defect, slack included, on every round.
 """
 
 from __future__ import annotations
@@ -86,14 +87,14 @@ def _non_identity(category) -> list:
     return [m for m in category.morphisms if m.label not in identities]
 
 
-def full_product_scan(category, max_set_size: int) -> list[str]:
-    """The functor descriptions a reflexive scan reports: every contravariant
-    functor with value sets x0, x1, ... of at most ``max_set_size`` elements,
-    found by trying every action on every non-identity morphism and keeping
-    the choices that satisfy every entry of the composition table. Size
-    vectors and actions are swept in lexicographic order."""
+def _full_product_functors(category, max_set_size: int):
+    """(size, action) for every contravariant functor with value sets
+    0, 1, ... of at most ``max_set_size`` elements, found by trying every
+    action on every non-identity morphism and keeping the choices that
+    satisfy every entry of the composition table. ``action`` maps each
+    morphism label to its image tuple. Size vectors and actions are swept
+    in lexicographic order."""
     moving = _non_identity(category)
-    found = []
     for sizes in itertools.product(range(max_set_size + 1), repeat=len(category.objects)):
         size = dict(zip(category.objects, sizes))
         # contravariant: a morphism acts from the value set of its target
@@ -107,13 +108,47 @@ def full_product_scan(category, max_set_size: int) -> list[str]:
                 action[r] == tuple(action[f][action[g][e]] for e in range(len(action[g])))
                 for (g, f), r in category.table.items()
             ):
-                head = ",".join(f"{obj}={size[obj]}" for obj in category.objects)
-                body = " ".join(
-                    f"{m.label}:[" + ",".join(f"x{e}>x{v}" for e, v in enumerate(action[m.label])) + "]"
-                    for m in moving
-                )
-                found.append(f"{head}; {body}" if moving else head)
+                yield size, action
+
+
+def full_product_scan(category, max_set_size: int) -> list[str]:
+    """The functor descriptions a reflexive scan reports, value sets
+    labelled x0, x1, ..., in the order ``_full_product_functors`` finds
+    them."""
+    moving = _non_identity(category)
+    found = []
+    for size, action in _full_product_functors(category, max_set_size):
+        head = ",".join(f"{obj}={size[obj]}" for obj in category.objects)
+        body = " ".join(
+            f"{m.label}:[" + ",".join(f"x{e}>x{v}" for e, v in enumerate(action[m.label])) + "]"
+            for m in moving
+        )
+        found.append(f"{head}; {body}" if moving else head)
     return found
+
+
+def isomorphism_class_count(category, max_set_size: int) -> int:
+    """The number of isomorphism classes among the functors
+    ``full_product_scan`` finds. Relabelling by a permutation p_X of each
+    value set sends the action a of u: X -> Y to the action b with
+    b[p_Y[e]] = p_X[a[e]]; a class is named by its size vector and the
+    least relabelled action tuple over every choice of permutations."""
+    moving = _non_identity(category)
+    names = set()
+    for size, action in _full_product_functors(category, max_set_size):
+        relabellings = itertools.product(*(itertools.permutations(range(size[obj])) for obj in category.objects))
+        forms = []
+        for perms in relabellings:
+            p = dict(zip(category.objects, perms))
+            form = []
+            for m in moving:
+                images = [0] * size[m.tgt]
+                for e, v in enumerate(action[m.label]):
+                    images[p[m.tgt][e]] = p[m.src][v]
+                form.append(tuple(images))
+            forms.append(tuple(form))
+        names.add((tuple(size.values()), min(forms)))
+    return len(names)
 
 
 def full_product_count(category, max_set_size: int) -> int:

@@ -11,7 +11,9 @@ so a composite is often declared before its factors. The properties check
 Over representables and their sums they check the Yoneda count, the
 adjunction's transpose, the reflexivity of representables and the
 triangle identity of the conjugation adjunction; over scanned functors,
-that reflexivity is invariant under isomorphism.
+that reflexivity is invariant under isomorphism and that the scan
+compares once per isomorphism class, with the verdict of a direct
+comparison.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from catspan import (
     CONTRAVARIANT,
+    isbell,
     FinCategory,
     Morphism,
     adjunction_transpose,
@@ -51,6 +54,7 @@ from oracles import (
     family_of,
     full_product_count,
     full_product_scan,
+    isomorphism_class_count,
     unpruned_family_count,
 )
 
@@ -216,6 +220,27 @@ def test_reflexive_scan_matches_full_product(category, max_set_size):
         max_set_size -= 1
     scanned = [v.description for v in reflexive_scan(category, max_set_size)]
     assert scanned == full_product_scan(category, max_set_size)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(categories, st.integers(1, 2))
+def test_reflexive_scan_compares_once_per_class(category, max_set_size):
+    while full_product_count(category, max_set_size) > CANDIDATE_CAP:
+        max_set_size -= 1
+    calls = []
+
+    def counted(functor, budget=None):
+        calls.append(functor)
+        return unit(functor, budget)
+
+    original, isbell.unit = isbell.unit, counted
+    try:
+        verdicts = reflexive_scan(category, max_set_size)
+    finally:
+        isbell.unit = original
+    assert len(calls) == isomorphism_class_count(category, max_set_size)
+    for v in verdicts:
+        assert v.reflexive == is_natural_iso(unit(v.functor)), v.description
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -24,10 +24,11 @@ from catspan import (
     yoneda,
 )
 
-from catspan.fileformat import load_functor
+from catspan import isbell
+from catspan.fileformat import load_functor, load_lawful_category
 from catspan.setfunc import NatTransformation, SetFunction
 
-from oracles import brute_force_nat, family_key, family_of
+from oracles import brute_force_nat, family_key, family_of, isomorphism_class_count
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -350,3 +351,29 @@ def test_scan_is_deterministic(categories):
 def test_scan_budget(categories):
     with pytest.raises(BudgetExceeded):
         reflexive_scan(categories["square"], 2, budget=50)
+
+
+def _scan_category(categories, name):
+    """A corpus category, or Z3 from the golden inputs."""
+    return load_lawful_category(GOLDEN_INPUTS / "z3.category.json") if name == "Z3" else categories[name]
+
+
+@pytest.mark.parametrize("name,size,classes", [("square", 2, 69), ("arrow", 3, 18), ("z2", 3, 6)])
+def test_scan_compares_once_per_isomorphism_class(categories, monkeypatch, name, size, classes):
+    calls = []
+
+    def counted(functor, budget=None):
+        calls.append(functor)
+        return unit(functor, budget)
+
+    monkeypatch.setattr(isbell, "unit", counted)
+    reflexive_scan(categories[name], size)
+    assert len(calls) == isomorphism_class_count(categories[name], size) == classes
+
+
+@pytest.mark.parametrize("name,size,reflexive", [("square", 2, 4), ("arrow", 3, 2), ("z2", 3, 3), ("Z3", 3, 4)])
+def test_scan_verdicts_match_direct_comparison(categories, name, size, reflexive):
+    verdicts = reflexive_scan(_scan_category(categories, name), size)
+    for v in verdicts:
+        assert v.reflexive == is_natural_iso(unit(v.functor)), v.description
+    assert sum(v.reflexive for v in verdicts) == reflexive
