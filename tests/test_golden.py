@@ -12,8 +12,10 @@ the fixtures live in ``tests/golden/inputs``.
     PYTHONPATH=src python tests/test_golden.py
 
 rewrites the input documents and every golden file from the code on
-PYTHONPATH. Do that only for a change that alters output on purpose, and
-record the change.
+PYTHONPATH, and prints each file whose bytes changed with the top-level
+report keys that differ (for example ``scan-square-2: budget``), or that
+none changed. Do that only for a change that alters output on purpose,
+and record the change.
 """
 
 from __future__ import annotations
@@ -128,16 +130,38 @@ def _chain_document() -> dict:
     }
 
 
+def _changed_keys(old: bytes, new: bytes) -> list[str]:
+    """The top-level report keys whose values differ, in the new report's
+    order, then any the new report dropped."""
+    before, after, missing = json.loads(old), json.loads(new), object()
+    keys = [*after, *(k for k in before if k not in after)]
+    return [k for k in keys if before.get(k, missing) != after.get(k, missing)]
+
+
+def _write(path: Path, data: bytes) -> bool:
+    """Write ``data`` to ``path``; whether the bytes there changed."""
+    if path.exists() and path.read_bytes() == data:
+        return False
+    path.write_bytes(data)
+    return True
+
+
 if __name__ == "__main__":
     INPUTS.mkdir(parents=True, exist_ok=True)
     documents = {"chain3.category.json": _chain_document()}
     for n in (3, 4):
         documents.update(_cyclic_documents(n))
+    changed = []
     for filename, doc in documents.items():
-        (INPUTS / filename).write_text(json.dumps(doc, indent=1) + "\n")
+        if _write(INPUTS / filename, (json.dumps(doc, indent=1) + "\n").encode()):
+            changed.append(f"inputs/{filename}")
     for name, cwd, argv in CASES:
         code, produced = run_case(cwd, argv)
         if code != 0:
             sys.exit(f"{name}: exit {code}")
-        (GOLDEN / f"{name}.json").write_bytes(produced)
+        path = GOLDEN / f"{name}.json"
+        old = path.read_bytes() if path.exists() else None
+        if _write(path, produced):
+            changed.append(f"{name}: {', '.join(_changed_keys(old, produced))}" if old else f"{name}: new")
     print(f"wrote {len(CASES)} golden files to {GOLDEN}")
+    print("\n".join(changed) if changed else "no golden file changed")
