@@ -89,6 +89,17 @@ def _load_valid_metric(path: str, tol: float):
         raise InputError(f"{path}: not a valid metric ({first[0]} at {first[1]}); run metric-validate") from None
 
 
+def _sample(space, count: int, args):
+    """``count`` sampled points of the tight span; a projection that stops
+    at its iteration cap is an input error, as an exhausted budget is."""
+    from .tightspan import ProjectionError, sample_tight_span
+
+    try:
+        return sample_tight_span(space, count, args.seed, args.tol)
+    except ProjectionError as exc:
+        raise InputError(f"{args.file}: {exc}") from None
+
+
 def _parse_values(space, raw_values: list[float], path: str):
     from .tightspan import DistanceFunction
 
@@ -310,7 +321,7 @@ def _cmd_project(args, budget):
 
 
 def _cmd_geodesic_check(args, budget):
-    from .tightspan import NoWitnessError, extremality_defect, geodesic_witness, sample_tight_span
+    from .tightspan import NoWitnessError, extremality_defect, geodesic_witness
 
     space = _load_valid_metric(args.file, args.tol)
     if args.values:
@@ -324,7 +335,7 @@ def _cmd_geodesic_check(args, budget):
             }
         candidates = [f]
     else:
-        candidates = sample_tight_span(space, args.samples, args.seed, args.tol)
+        candidates = _sample(space, args.samples, args)
     witnesses = []
     failures = []
     for i, f in enumerate(candidates):
@@ -344,10 +355,8 @@ def _cmd_geodesic_check(args, budget):
 
 
 def _cmd_sample_span(args, budget):
-    from .tightspan import sample_tight_span
-
     space = _load_valid_metric(args.file, args.tol)
-    samples = sample_tight_span(space, args.count, args.seed, args.tol)
+    samples = _sample(space, args.count, args)
     return True, {
         "count": len(samples),
         "seed": args.seed,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import warnings
 from pathlib import Path
 
@@ -336,6 +337,24 @@ def test_distances_whose_sums_overflow_are_violations(capsys, tmp_path):
             assert code == 2 and out == ""
             assert err == f"catspan: error: {path}: not a valid metric (oversized-entry at ('a', 'b')); run metric-validate\n"
     assert caught == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["sample-span", "--count", "10"], ["geodesic-check", "--samples", "10"]], ids=["sample-span", "geodesic-check"]
+)
+def test_projection_that_does_not_converge_is_a_usage_error(capsys, tmp_path, argv):
+    # Six points of the line with coordinates up to 1e10: their distances
+    # are a valid metric, but the projection's absolute tolerance lies
+    # below their float spacing.
+    rng = random.Random(3)
+    xs = [rng.uniform(0, 1e10) for _ in range(6)]
+    path = tmp_path / "far.metric.json"
+    d = [[abs(x - y) for y in xs] for x in xs]
+    path.write_text(json.dumps({"format": 1, "kind": "metric", "points": [f"p{i}" for i in range(6)], "d": d}))
+    assert run(capsys, "metric-validate", str(path))[0] == 0
+    code, out, err = run(capsys, *argv, str(path), "--format", "structured")
+    assert code == 2 and out == ""
+    assert err.startswith(f"catspan: error: {path}: projection did not converge ") and err.count("\n") == 1
 
 
 DUPLICATE_LABEL_FUNCTOR = {
