@@ -324,7 +324,7 @@ def reflexive_scan(
     b = Budget.coerce(budget)
     gens, derivations = generators(category)
     non_identity = [m.label for m in category.morphisms if not category.is_identity(m.label)]
-    ends = [(category.morphism(label).src, category.morphism(label).tgt) for label in gens]
+    ends = [(m.src, m.tgt) for m in map(category.morphism, gens)]
     verdicts: list[ReflexiveVerdict] = []
 
     for sizes in itertools.product(range(max_set_size + 1), repeat=len(category.objects)):
