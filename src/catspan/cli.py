@@ -95,7 +95,7 @@ def _sample(space, count: int, args):
     from .tightspan import ProjectionError, sample_tight_span
 
     try:
-        return sample_tight_span(space, count, args.seed, args.tol)
+        return sample_tight_span(space, count, args.seed)
     except ProjectionError as exc:
         raise InputError(f"{args.file}: {exc}") from None
 
@@ -287,7 +287,7 @@ def _cmd_tripod(args, budget):
     return True, {
         "legs": list(result.legs),
         "hub": result.hub.as_dict(),
-        "hub_defect": extremality_defect(result.hub, args.tol).defect,
+        "hub_defect": extremality_defect(result.hub).defect,
     }
 
 
@@ -297,7 +297,7 @@ def _cmd_project(args, budget):
     space = _load_valid_metric(args.file, args.tol)
     f = _parse_values(space, args.values, args.file)
     try:
-        g = extremal_project(f, args.tol)
+        g = extremal_project(f)
     except InadmissibleError as exc:
         return False, {
             "converged": False,
@@ -316,7 +316,7 @@ def _cmd_project(args, budget):
         "converged": True,
         "input": f.as_dict(),
         "output": g.as_dict(),
-        "defect": extremality_defect(g, args.tol).defect,
+        "defect": extremality_defect(g).defect,
     }
 
 
@@ -326,8 +326,8 @@ def _cmd_geodesic_check(args, budget):
     space = _load_valid_metric(args.file, args.tol)
     if args.values:
         f = _parse_values(space, args.values, args.file)
-        report = extremality_defect(f, args.tol)
-        if report.defect > args.tol:
+        report = extremality_defect(f)
+        if report.defect > space.tol:
             return False, {
                 "all_ok": False,
                 "reason": "input-not-extremal",
@@ -517,10 +517,7 @@ def main(argv: list[str] | None = None) -> int:
             "timing": None,  # suppressed for byte-deterministic reports; see text mode
         }
         _emit(report, args, time.perf_counter() - started)
-    except (ParseError, StructuralError, InputError, UnknownObjectError) as exc:
-        print(f"catspan: error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
+    except (ParseError, StructuralError, InputError, UnknownObjectError, BudgetExceeded) as exc:
         print(f"catspan: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 is reserved for a violated property with a witness

@@ -14,7 +14,7 @@ from pathlib import Path
 from .fileformat import load_functor, load_lawful_category, load_metric_document
 from .fincat import FinCategory
 from .setfunc import SetValuedFunctor
-from .tightspan import FiniteMetricSpace, validate_metric
+from .tightspan import DEFAULT_TOL, FiniteMetricSpace, validate_metric
 
 CATEGORIES = ("terminal", "discrete2", "arrow", "z2", "square")
 
@@ -56,7 +56,7 @@ def load_corpus_copresheaf(name: str, category: FinCategory | None = None) -> Se
     return load_functor(fixture_path(f"{name}.copresheaf.json"), category)
 
 
-def load_corpus_metric(name: str, tol: float = 1e-9) -> FiniteMetricSpace:
+def load_corpus_metric(name: str, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
     points, matrix = load_metric_document(fixture_path(f"{name}.metric.json"))
     return validate_metric(points, matrix, tol)
 

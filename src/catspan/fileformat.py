@@ -10,6 +10,7 @@ violation as a ParseError at the pseudo-path ``<laws>``.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
@@ -230,6 +231,16 @@ def load_functor(path: str | Path, category: FinCategory | None = None) -> SetVa
     return load() if category is not None else _once("functor", path, load)
 
 
+def _as_float(x: int | float) -> float:
+    """A JSON number as a float. An integer beyond the float range reads as
+    an infinity, as the literal 1e400 does, so that metric validation
+    reports it as axiom ``finite``."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def parse_metric(doc: dict, source: str) -> tuple[list[str], list[list[float]]]:
     """Structural parse of a metric document; axioms are checked separately."""
     _check_header(doc, source, "metric")
@@ -251,7 +262,7 @@ def parse_metric(doc: dict, source: str) -> tuple[list[str], list[list[float]]]:
         for j, x in enumerate(row):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise ParseError(source, f"d[{i}][{j}]", "expected a number")
-    return list(points), [[float(x) for x in row] for row in rows]
+    return list(points), [[_as_float(x) for x in row] for row in rows]
 
 
 def load_metric_document(path: str | Path) -> tuple[list[str], list[list[float]]]:

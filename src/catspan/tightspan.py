@@ -8,6 +8,11 @@ injective hull; membership is measured by a two-part defect (admissibility
 slack and tightness gap) and reached by averaging a function with its
 conjugate E(f)(x) = max_x' (d(x, x') - f(x')).
 
+The tolerance is decided once, where the metric enters: validate_metric
+raises the caller's tolerance to a floor of TOL_SPACINGS float spacings of
+the largest entry and stores it on the space, and every later stage reads
+it from there.
+
 Metric validation is broadcast numpy: the triangle axiom is one n x n
 comparison per row, O(n^3) work in O(n^2) memory. Projection checks
 admissibility once on entry, then follows only the O(n^2) gap per round,
@@ -22,6 +27,9 @@ from .fincat import Frozen
 
 DEFAULT_TOL = 1e-9
 WITNESS_TOL = 1e-6
+# The tolerance floor, in float spacings of the largest entry: above the few
+# roundings in a triangle sum, a slack or an average of function values.
+TOL_SPACINGS = 8
 MAX_ITERATIONS = 10_000
 # The largest distance accepted, checked where distances and function values
 # enter, so that every sum this module forms stays finite. A sample start adds
@@ -75,16 +83,17 @@ class NoWitnessError(RuntimeError):
 
 
 class FiniteMetricSpace(Frozen):
-    """Points in a fixed order, their distance matrix, and a point ->
-    position index built once. Compared by identity."""
+    """Points in a fixed order, their distance matrix, the absolute
+    tolerance every comparison on the space uses, and a point -> position
+    index built once. Compared by identity."""
 
-    __slots__ = ("points", "dist", "_positions")
-    _fields = ("points", "dist")
+    __slots__ = ("points", "dist", "tol", "_positions")
+    _fields = ("points", "dist", "tol")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, points: tuple[str, ...], dist: np.ndarray):
-        super().__init__(points, dist)
+    def __init__(self, points: tuple[str, ...], dist: np.ndarray, tol: float):
+        super().__init__(points, dist, tol)
         object.__setattr__(self, "_positions", {p: i for i, p in enumerate(points)})
 
     def index(self, point: str) -> int:
@@ -140,6 +149,10 @@ class DistanceFunction(Frozen):
 def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
     """Check the metric axioms exhaustively, within tolerance.
 
+    The tolerance is ``tol`` raised to TOL_SPACINGS float spacings of the
+    largest entry of magnitude at most MAX_DISTANCE, so that it scales with
+    the distances once they are large; the returned space carries it.
+
     Shape mismatches raise ValueError; axiom failures raise MetricError
     carrying every violation with a witness tuple. Non-finite entries come
     first, as axiom ``finite`` with their (row, column) points, and finite
@@ -158,6 +171,10 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     n = len(labels)
     if d.shape != (n, n):
         raise ValueError(f"distance matrix must be {n}x{n}, got {d.shape}")
+
+    in_range = np.abs(d[np.isfinite(d)])
+    scale = float(in_range[in_range <= MAX_DISTANCE].max(initial=0.0))
+    tol = max(tol, TOL_SPACINGS * float(np.spacing(scale)))
 
     # NaN compares false with everything, so no later axiom would catch it.
     violations: list[tuple[str, tuple[str, ...]]] = [
@@ -197,7 +214,7 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
         raise MetricError(violations)
     d = d.copy()
     d.setflags(write=False)
-    return FiniteMetricSpace(labels, d)
+    return FiniteMetricSpace(labels, d, tol)
 
 
 def kuratowski_embed(space: FiniteMetricSpace, point: str) -> DistanceFunction:
@@ -217,21 +234,17 @@ class DefectReport(Frozen):
     __slots__ = _fields = ("defect", "slack", "gap", "admissible")
 
 
-def extremality_defect(f: DistanceFunction, tol: float = DEFAULT_TOL) -> DefectReport:
+def extremality_defect(f: DistanceFunction) -> DefectReport:
     d = f.space.dist
     v = f.values
     if v.size == 0:
         return DefectReport(0.0, 0.0, 0.0, True)
     slack = max(0.0, float((d - v[:, None] - v[None, :]).max()))
     gap = float((v - conjugate_values(f.space, v)).max())
-    return DefectReport(max(slack, gap), slack, gap, slack <= tol)
+    return DefectReport(max(slack, gap), slack, gap, slack <= f.space.tol)
 
 
-def extremal_project(
-    f: DistanceFunction,
-    tol: float = DEFAULT_TOL,
-    max_iterations: int = MAX_ITERATIONS,
-) -> DistanceFunction:
+def extremal_project(f: DistanceFunction, max_iterations: int = MAX_ITERATIONS) -> DistanceFunction:
     """Project an admissible function onto the extremal set by repeatedly
     averaging it with its conjugate. The defect halves each round, values
     only ever decrease, and already-extremal input is returned unchanged.
@@ -243,7 +256,8 @@ def extremal_project(
     feeds the same conjugate into the next average; the full defect,
     slack included, is checked on an iterate whose gap passes.
     """
-    report = extremality_defect(f, tol)
+    tol = f.space.tol
+    report = extremality_defect(f)
     if not report.admissible:
         d = f.space.dist
         v = f.values
@@ -260,9 +274,9 @@ def extremal_project(
         # defect = max(slack, gap), so a gap above tol already fails the check.
         if float((h - c).max()) <= tol:
             candidate = DistanceFunction(f.space, h)
-            if extremality_defect(candidate, tol).defect <= tol:
+            if extremality_defect(candidate).defect <= tol:
                 return candidate
-    raise ProjectionError(max_iterations, extremality_defect(DistanceFunction(f.space, h), tol).defect)
+    raise ProjectionError(max_iterations, extremality_defect(DistanceFunction(f.space, h)).defect)
 
 
 def tight_span_distance(f: DistanceFunction, g: DistanceFunction) -> float:
@@ -274,19 +288,19 @@ def tight_span_distance(f: DistanceFunction, g: DistanceFunction) -> float:
     return float(np.abs(f.values - g.values).max())
 
 
-def geodesic_witness(
-    f: DistanceFunction,
-    point: str,
-    witness_tol: float = WITNESS_TOL,
-) -> str:
-    """A point x' with f(x) + f(x') equal to d(x, x') within tolerance.
+def geodesic_witness(f: DistanceFunction, point: str) -> str:
+    """A point x' with f(x) + f(x') equal to d(x, x') within the larger of
+    WITNESS_TOL and the space's tolerance.
 
     For an extremal f such a partner exists for every x; failure to find
     one signals the input was not actually extremal.
     """
     space = f.space
     i = space.index(point)
-    residuals = np.abs(f.values[i] + f.values - space.dist[i])
+    # f(x) - (d(x, x') - f(x')), rounded as the gap of extremality_defect
+    # is, so that a gap within tolerance leaves a residual within it too.
+    residuals = np.abs(f.values[i] - (space.dist[i] - f.values))
+    witness_tol = max(WITNESS_TOL, space.tol)
     for j, r in enumerate(residuals):
         if r <= witness_tol:
             return space.points[j]
@@ -300,14 +314,15 @@ class TripodResult(Frozen):
 def tripod(space: FiniteMetricSpace) -> TripodResult:
     """Closed form for three points: the hub of the tripod, whose legs
     a_i = (d(i, j) + d(i, k) - d(j, k)) / 2 realize all three pair
-    distances exactly."""
+    distances exactly. A leg is clamped at 0: a metric valid within tol can
+    make it as low as -tol / 2."""
     if len(space.points) != 3:
         raise ValueError(f"tripod needs exactly 3 points, got {len(space.points)}")
     d = space.dist
     legs = (
-        float((d[0, 1] + d[0, 2] - d[1, 2]) / 2.0),
-        float((d[1, 0] + d[1, 2] - d[0, 2]) / 2.0),
-        float((d[2, 0] + d[2, 1] - d[0, 1]) / 2.0),
+        max(0.0, float((d[0, 1] + d[0, 2] - d[1, 2]) / 2.0)),
+        max(0.0, float((d[1, 0] + d[1, 2] - d[0, 2]) / 2.0)),
+        max(0.0, float((d[2, 0] + d[2, 1] - d[0, 1]) / 2.0)),
     )
     return TripodResult(legs, DistanceFunction(space, np.array(legs)))
 
@@ -316,7 +331,6 @@ def sample_tight_span(
     space: FiniteMetricSpace,
     count: int,
     seed: int,
-    tol: float = DEFAULT_TOL,
     max_iterations: int = MAX_ITERATIONS,
 ) -> list[DistanceFunction]:
     """Deterministically seeded extremal samples: an embedded point plus a
@@ -335,5 +349,5 @@ def sample_tight_span(
         anchor = int(rng.integers(len(space.points)))
         perturbation = rng.uniform(0.0, diameter, size=len(space.points)) if diameter > 0 else np.zeros(len(space.points))
         start = DistanceFunction(space, space.dist[anchor] + perturbation)
-        samples.append(extremal_project(start, tol, max_iterations))
+        samples.append(extremal_project(start, max_iterations))
     return samples

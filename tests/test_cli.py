@@ -272,6 +272,9 @@ NON_FINITE = [
     ([[0, 1, 1], [1, 0, math.inf], [1, 1, 0]], [["b", "c"]]),
     ([[0, 1, 1], [1, 0, math.inf], [1, math.inf, 0]], [["b", "c"], ["c", "b"]]),
     ([[0, 1, 1], [1, 0, -math.inf], [1, -math.inf, 0]], [["b", "c"], ["c", "b"]]),
+    # JSON integers beyond the float range read as infinities, as 1e400 does
+    ([[0, 10**400, 1], [10**400, 0, 1], [1, 1, 0]], [["a", "b"], ["b", "a"]]),
+    ([[0, 1, -10**400], [1, 0, 1], [-10**400, 1, 0]], [["a", "c"], ["c", "a"]]),
 ]
 
 
@@ -342,19 +345,34 @@ def test_distances_whose_sums_overflow_are_violations(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv", [["sample-span", "--count", "10"], ["geodesic-check", "--samples", "10"]], ids=["sample-span", "geodesic-check"]
 )
-def test_projection_that_does_not_converge_is_a_usage_error(capsys, tmp_path, argv):
-    # Six points of the line with coordinates up to 1e10: their distances
-    # are a valid metric, but the projection's absolute tolerance lies
-    # below their float spacing.
-    rng = random.Random(3)
-    xs = [rng.uniform(0, 1e10) for _ in range(6)]
-    path = tmp_path / "far.metric.json"
-    d = [[abs(x - y) for y in xs] for x in xs]
-    path.write_text(json.dumps({"format": 1, "kind": "metric", "points": [f"p{i}" for i in range(6)], "d": d}))
-    assert run(capsys, "metric-validate", str(path))[0] == 0
-    code, out, err = run(capsys, *argv, str(path), "--format", "structured")
+def test_projection_that_does_not_converge_is_a_usage_error(capsys, monkeypatch, argv):
+    # A valid metric whose sampled projections are stopped at a cap of 0
+    # iterations.
+    from catspan import tightspan
+
+    project = tightspan.extremal_project
+    monkeypatch.setattr(tightspan, "extremal_project", lambda f, max_iterations: project(f, 0))
+    path = fx("random5.metric.json")
+    assert run(capsys, "metric-validate", path)[0] == 0
+    code, out, err = run(capsys, *argv, path, "--format", "structured")
     assert code == 2 and out == ""
     assert err.startswith(f"catspan: error: {path}: projection did not converge ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1e10, 1e14])
+def test_metrics_with_large_coordinates_validate_and_sample(capsys, tmp_path, scale, dim):
+    # Six points under the L1 norm: float spacing at these distances lies
+    # far above the default tolerance, which the tolerance floor absorbs.
+    rng = random.Random(3)
+    coords = [[rng.uniform(0, scale) for _ in range(dim)] for _ in range(6)]
+    d = [[sum(abs(a - b) for a, b in zip(p, q)) for q in coords] for p in coords]
+    path = tmp_path / "far.metric.json"
+    path.write_text(json.dumps({"format": 1, "kind": "metric", "points": [f"p{i}" for i in range(6)], "d": d}))
+    for argv in (["metric-validate"], ["sample-span", "--count", "10"], ["geodesic-check", "--samples", "10"]):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--format", "structured")
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["ok"] is True, argv
 
 
 DUPLICATE_LABEL_FUNCTOR = {
@@ -388,6 +406,17 @@ def test_tripod(capsys):
     code, out, err = run(capsys, "tripod", fx("triangle345.metric.json"), "--format", "structured")
     assert code == 0
     assert json.loads(out)["results"]["legs"] == [1.0, 2.0, 3.0]
+
+
+def test_tripod_of_a_metric_valid_within_tol(capsys, tmp_path):
+    # d(a, c) exceeds d(a, b) + d(b, c) by 5e-10: leg b is clamped at 0.
+    path = tmp_path / "almost.metric.json"
+    d = [[0, 1, 2 + 5e-10], [1, 0, 1], [2 + 5e-10, 1, 0]]
+    path.write_text(json.dumps({"format": 1, "kind": "metric", "points": ["a", "b", "c"], "d": d}))
+    assert run(capsys, "metric-validate", str(path))[0] == 0
+    code, out, err = run(capsys, "tripod", str(path), "--format", "structured")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["legs"][1] == 0.0
 
 
 def test_tripod_wrong_point_count(capsys):

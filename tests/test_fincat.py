@@ -220,7 +220,7 @@ def _records(categories, presheaves, copresheaves, metrics):
             "presheaf_pair", "copresheaf_pair",
         )),
         (ReflexiveVerdict, dict(functor=functor, description="*=2", reflexive=True)),
-        (FiniteMetricSpace, dict(points=space.points, dist=space.dist)),
+        (FiniteMetricSpace, dict(points=space.points, dist=space.dist, tol=space.tol)),
         (DistanceFunction, dict(space=space, values=np.array([1.0, 1.0]))),
         (DefectReport, dict(defect=0.5, slack=0.0, gap=0.5, admissible=True)),
         (TripodResult, dict(legs=(1.0, 2.0, 3.0), hub=hub)),

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -73,10 +74,9 @@ def test_entries_whose_sums_overflow_are_violations():
     big = MAX_DISTANCE * (1 - 1e-15)
     space = validate_metric(["a", "b", "c"], [[0, big, big], [big, 0, big], [big, big, 0]])
     assert tripod(space).legs == (big / 2,) * 3
-    tol = TOL * big  # an absolute 1e-9 is below the float spacing here
-    for f in sample_tight_span(space, 5, seed=1, tol=tol):
-        assert extremality_defect(f, tol).defect <= tol
-        assert [geodesic_witness(f, x, witness_tol=tol) for x in space.points]
+    for f in sample_tight_span(space, 5, seed=1):
+        assert extremality_defect(f).defect <= space.tol
+        assert [geodesic_witness(f, x) for x in space.points]
 
 
 def test_shape_mismatch_is_not_an_axiom_failure():
@@ -255,18 +255,18 @@ def _admissible_start(n, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_project_matches_full_defect_oracle(n, seed):
     f = _admissible_start(n, seed)
-    expected, _, converged = reference_projection(f.space.dist, f.values, TOL, 10_000)
+    expected, _, converged = reference_projection(f.space.dist, f.values, f.space.tol, 10_000)
     assert converged
-    assert np.array_equal(extremal_project(f, TOL).values, expected)
+    assert np.array_equal(extremal_project(f).values, expected)
 
 
 @pytest.mark.parametrize("max_iterations", [0, 1, 3])
 def test_projection_error_matches_full_defect_oracle(max_iterations):
     f = _admissible_start(10, 4)
-    _, defect, converged = reference_projection(f.space.dist, f.values, TOL, max_iterations)
+    _, defect, converged = reference_projection(f.space.dist, f.values, f.space.tol, max_iterations)
     assert not converged
     with pytest.raises(ProjectionError) as err:
-        extremal_project(f, TOL, max_iterations)
+        extremal_project(f, max_iterations)
     assert err.value.iterations == max_iterations
     assert err.value.defect == defect
 
@@ -340,6 +340,18 @@ def test_witness_at_steiner_point(metrics):
     assert geodesic_witness(f, "x1") == "x2"  # 1 + 2 = d(x1, x2)
 
 
+@pytest.mark.parametrize("cloud_seed, scale, dim, seed", [(1, 1e10, 2, 1), (14, 1e10, 1, 2), (40, 1e14, 1, 0)])
+def test_witnesses_of_samples_at_large_scale(cloud_seed, scale, dim, seed):
+    # A projection stops with its gap just within the tolerance. On these
+    # 6-point L1 clouds, f(x) + f(x') - d(x, x') rounded in another order
+    # than the gap exceeds the tolerance by a float spacing.
+    rng = random.Random(cloud_seed)
+    coords = np.array([[rng.uniform(0, scale) for _ in range(dim)] for _ in range(6)])
+    space = validate_metric([f"p{i}" for i in range(6)], np.abs(coords[:, None] - coords[None]).sum(axis=2))
+    for f in sample_tight_span(space, 10, seed):
+        assert [geodesic_witness(f, x) for x in space.points]
+
+
 def test_no_witness_signals_not_extremal(metrics):
     fat = DistanceFunction(metrics["two_point"], np.array([2.0, 2.0]))
     with pytest.raises(NoWitnessError):
@@ -378,6 +390,16 @@ def test_tripod_equilateral(metrics):
 def test_tripod_wrong_point_count(metrics):
     with pytest.raises(ValueError):
         tripod(metrics["two_point"])
+
+
+def test_tripod_legs_are_clamped_on_a_metric_valid_within_tol():
+    # d(a, c) exceeds d(a, b) + d(b, c) by 5e-10, within the default
+    # tolerance, so leg b works out at -2.5e-10 before the clamp.
+    space = validate_metric(["a", "b", "c"], [[0, 1, 2 + 5e-10], [1, 0, 1], [2 + 5e-10, 1, 0]])
+    result = tripod(space)
+    assert result.legs[1] == 0.0
+    assert result.legs[0] == result.legs[2] == (2 + 5e-10) / 2
+    assert extremality_defect(result.hub).defect <= space.tol
 
 
 # ---------------------------------------------------------- sampling
@@ -479,3 +501,43 @@ def test_projected_perturbations_are_extremal_with_witnesses(coords, seed):
     for x in space.points:
         w = geodesic_witness(g, x)
         assert abs(g.value(x) + g.value(w) - space.distance(x, w)) <= 1e-6
+
+
+@st.composite
+def far_l1_clouds(draw):
+    """The distance matrix of 3-6 points in 1-3 dimensions under the L1
+    norm, with a largest entry of at least 1e10, so that the float spacing,
+    not DEFAULT_TOL, decides the tolerance; sometimes with one pair tripled,
+    which plants triangle violations."""
+    n, dim = draw(st.integers(3, 6)), draw(st.integers(1, 3))
+    coords = np.array(draw(st.lists(st.floats(0, 1e11), min_size=n * dim, max_size=n * dim, unique=True)))
+    coords = coords.reshape(n, dim)
+    d = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+    assume(d.max() >= 1e10)
+    if draw(st.booleans()):
+        d[0, 1] = d[1, 0] = 3.0 * d[0, 1]
+    return d
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(far_l1_clouds(), st.integers(0, 2**16))
+def test_scaling_by_a_power_of_two_scales_every_result(d, seed):
+    # Float spacing scales exactly with a power of two, and so do the
+    # tolerance, every sum and average, and the sampler's uniform draws.
+    labels = [f"q{i}" for i in range(len(d))]
+    violations = _violations(labels, d)
+    if not violations:
+        space = validate_metric(labels, d)
+        start = space.dist[0] + space.diameter  # admissible: a raised row
+        projected = extremal_project(DistanceFunction(space, start)).values
+        samples = [f.values for f in sample_tight_span(space, 3, seed)]
+    for k in range(21):
+        scale = 2.0**k
+        assert _violations(labels, d * scale) == violations, k
+        if violations:
+            continue
+        scaled = validate_metric(labels, d * scale)
+        assert scaled.tol == space.tol * scale, k
+        assert np.array_equal(extremal_project(DistanceFunction(scaled, start * scale)).values, projected * scale), k
+        for f, values in zip(sample_tight_span(scaled, 3, seed), samples):
+            assert np.array_equal(f.values, values * scale), k
