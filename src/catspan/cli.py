@@ -33,6 +33,7 @@ from .fincat import StructuralError, UnknownObjectError, validate_category
 from .setfunc import (
     CONTRAVARIANT,
     COVARIANT,
+    DEFAULT_BUDGET,
     Budget,
     BudgetExceeded,
     FunctorLawError,
@@ -395,7 +396,7 @@ def nonnegative_int(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=10_000_000, help="node-expansion cap for enumerations")
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node-expansion cap for enumerations")
     common.add_argument("--tol", type=float, default=1e-9, help="numeric validation tolerance")
     common.add_argument("--seed", type=nonnegative_int, default=0, help="seed for sampling subcommands")
     common.add_argument("--format", choices=("text", "structured"), default="text", dest="output_format")

@@ -3,7 +3,9 @@
 The corpus is the desk-scale test bed everything is exercised against:
 five small categories, two presheaves and two copresheaves per category,
 and five metric spaces. Files live under ``catspan/fixtures`` and use the
-documented JSON format, so they double as CLI input examples.
+documented JSON format, so they double as CLI input examples. Each
+presheaf and copresheaf names its category file; loads inside one
+``fileformat.recording_reads()`` block share one category object.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 from .fileformat import load_functor, load_lawful_category, load_metric_document
 from .fincat import FinCategory
 from .setfunc import SetValuedFunctor
-from .tightspan import DEFAULT_TOL, FiniteMetricSpace, validate_metric
+from .tightspan import FiniteMetricSpace, validate_metric
 
 CATEGORIES = ("terminal", "discrete2", "arrow", "z2", "square")
 
@@ -48,31 +50,29 @@ def load_corpus_category(name: str) -> FinCategory:
     return load_lawful_category(fixture_path(f"{name}.category.json"))
 
 
-def load_corpus_presheaf(name: str, category: FinCategory | None = None) -> SetValuedFunctor:
-    return load_functor(fixture_path(f"{name}.presheaf.json"), category)
+def load_corpus_presheaf(name: str) -> SetValuedFunctor:
+    return load_functor(fixture_path(f"{name}.presheaf.json"))
 
 
-def load_corpus_copresheaf(name: str, category: FinCategory | None = None) -> SetValuedFunctor:
-    return load_functor(fixture_path(f"{name}.copresheaf.json"), category)
+def load_corpus_copresheaf(name: str) -> SetValuedFunctor:
+    return load_functor(fixture_path(f"{name}.copresheaf.json"))
 
 
-def load_corpus_metric(name: str, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
-    points, matrix = load_metric_document(fixture_path(f"{name}.metric.json"))
-    return validate_metric(points, matrix, tol)
+def load_corpus_metric(name: str) -> FiniteMetricSpace:
+    """A bundled metric, validated at DEFAULT_TOL."""
+    return validate_metric(*load_metric_document(fixture_path(f"{name}.metric.json")))
 
 
 def corpus_categories() -> dict[str, FinCategory]:
     return {name: load_corpus_category(name) for name in CATEGORIES}
 
 
-def corpus_presheaves(name: str, category: FinCategory | None = None) -> list[SetValuedFunctor]:
-    category = category or load_corpus_category(name)
-    return [load_corpus_presheaf(f, category) for f in PRESHEAVES[name]]
+def corpus_presheaves(name: str) -> list[SetValuedFunctor]:
+    return [load_corpus_presheaf(f) for f in PRESHEAVES[name]]
 
 
-def corpus_copresheaves(name: str, category: FinCategory | None = None) -> list[SetValuedFunctor]:
-    category = category or load_corpus_category(name)
-    return [load_corpus_copresheaf(f, category) for f in COPRESHEAVES[name]]
+def corpus_copresheaves(name: str) -> list[SetValuedFunctor]:
+    return [load_corpus_copresheaf(f) for f in COPRESHEAVES[name]]
 
 
 def corpus_metrics() -> dict[str, FiniteMetricSpace]:

@@ -35,12 +35,11 @@ class ParseError(ValueError):
         self.detail = detail
 
 
-# The log of the innermost ``recording_reads`` block, if any, and the lawful
-# categories and functors it has loaded, by kind and resolved path: context
-# variables, so that every loader and the category file a functor references
-# are covered.
-_reads: ContextVar[list | None] = ContextVar("catspan_reads", default=None)
-_loaded: ContextVar[dict | None] = ContextVar("catspan_loaded", default=None)
+# The innermost ``recording_reads`` block, if any: its read log and the
+# lawful categories and functors it has loaded, by kind and resolved path. A
+# context variable, so that every loader and the category file a functor
+# references are covered.
+_session: ContextVar[tuple[list, dict] | None] = ContextVar("catspan_session", default=None)
 
 
 @contextmanager
@@ -51,20 +50,20 @@ def recording_reads():
     referencing one category share one base, and a functor named twice is
     one object."""
     reads: list[tuple[str, bytes]] = []
-    reads_token, loaded_token = _reads.set(reads), _loaded.set({})
+    token = _session.set((reads, {}))
     try:
         yield reads
     finally:
-        _reads.reset(reads_token)
-        _loaded.reset(loaded_token)
+        _session.reset(token)
 
 
 def _once(kind: str, path: str | Path, load):
     """``load()``, called once per kind and resolved path inside a
     ``recording_reads`` block and on every call outside one."""
-    loaded = _loaded.get()
-    if loaded is None:
+    session = _session.get()
+    if session is None:
         return load()
+    loaded = session[1]
     key = (kind, Path(path).resolve())
     if key not in loaded:
         loaded[key] = load()
@@ -77,12 +76,15 @@ def read_document(path: str | Path) -> dict:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(source, "<file>", str(exc)) from None
-    reads = _reads.get()
-    if reads is not None:
-        reads.append((source, data))
+    session = _session.get()
+    if session is not None:
+        session[0].append((source, data))
+    # UnicodeDecodeError and the integer digit limit of json.loads are
+    # ValueErrors too. No document of the schema nests beyond a few levels,
+    # so one deep enough to exhaust the recursion limit is invalid anyway.
     try:
         doc = json.loads(data.decode())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(source, "<file>", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(source, "<file>", "top level must be an object")
@@ -139,6 +141,8 @@ def parse_category(doc: dict, source: str = "<inline>") -> FinCategory:
     for obj, label in identities.items():
         if obj not in objects:
             raise ParseError(source, f"identities.{obj}", "undeclared object")
+        if not isinstance(label, str):
+            raise ParseError(source, f"identities.{obj}", "expected a morphism id")
         if label not in labels:
             raise ParseError(source, f"identities.{obj}", f"undeclared morphism {label!r}")
     table = {}
@@ -179,20 +183,19 @@ def load_lawful_category(path: str | Path) -> FinCategory:
     return _once("category", path, lambda: _require_laws(load_category(path), str(path)))
 
 
-def parse_functor(doc: dict, source: str, category: FinCategory | None = None,
-                  base_dir: Path | None = None) -> SetValuedFunctor:
+def parse_functor(doc: dict, source: str, base_dir: Path) -> SetValuedFunctor:
     """Parse and fully validate a functor document.
 
     The ``category`` field is either an inline category document or a path
-    relative to the functor file. Identity actions may be omitted.
+    relative to ``base_dir``, the functor file's directory. Identity actions
+    may be omitted.
     """
     _check_header(doc, source, "functor")
-    if category is None:
-        raw_cat = _expect(doc, source, "category", (str, dict), "path or inline category")
-        if isinstance(raw_cat, str):
-            category = load_lawful_category((base_dir or Path(".")) / raw_cat)
-        else:
-            category = _require_laws(parse_category(raw_cat, f"{source}:category"), f"{source}:category")
+    raw_cat = _expect(doc, source, "category", (str, dict), "path or inline category")
+    if isinstance(raw_cat, str):
+        category = load_lawful_category(base_dir / raw_cat)
+    else:
+        category = _require_laws(parse_category(raw_cat, f"{source}:category"), f"{source}:category")
     variance_code = _expect(doc, source, "variance", str, "'co' or 'contra'")
     if variance_code not in VARIANCE_CODES:
         raise ParseError(source, "variance", f"expected 'co' or 'contra', got {variance_code!r}")
@@ -220,15 +223,11 @@ def parse_functor(doc: dict, source: str, category: FinCategory | None = None,
     return validate_functor(category, VARIANCE_CODES[variance_code], raw_objects, raw_morphisms)
 
 
-def load_functor(path: str | Path, category: FinCategory | None = None) -> SetValuedFunctor:
+def load_functor(path: str | Path) -> SetValuedFunctor:
     """Parse and validate a functor file. Inside a ``recording_reads`` block
-    a file whose category is read from the document is loaded once."""
+    each file is loaded once."""
     p = Path(path)
-
-    def load() -> SetValuedFunctor:
-        return parse_functor(read_document(path), str(p), category, p.parent)
-
-    return load() if category is not None else _once("functor", path, load)
+    return _once("functor", path, lambda: parse_functor(read_document(path), str(p), p.parent))
 
 
 def _as_float(x: int | float) -> float:

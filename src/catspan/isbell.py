@@ -106,7 +106,7 @@ def _conjugate(presheaf: SetValuedFunctor, budget: Budget) -> ConjugatePair:
     return ConjugatePair(presheaf, conjugate, tables, index)
 
 
-def conjugate_presheaf(presheaf: SetValuedFunctor, budget: Budget | int | None = None) -> ConjugatePair:
+def conjugate_presheaf(presheaf: SetValuedFunctor, budget: Budget | None = None) -> ConjugatePair:
     """The covariant conjugate: object X carries the transformations from
     the presheaf into the representable y(X), labeled t0, t1, ... in
     enumeration order; a morphism acts by postcomposition with the induced
@@ -116,7 +116,7 @@ def conjugate_presheaf(presheaf: SetValuedFunctor, budget: Budget | int | None =
     return _conjugate(presheaf, Budget.coerce(budget))
 
 
-def conjugate_copresheaf(copresheaf: SetValuedFunctor, budget: Budget | int | None = None) -> ConjugatePair:
+def conjugate_copresheaf(copresheaf: SetValuedFunctor, budget: Budget | None = None) -> ConjugatePair:
     """The contravariant conjugate: object X carries the transformations
     from the copresheaf into the representable z(X); a morphism acts by
     postcomposition with the precomposition transformation it induces.
@@ -203,7 +203,7 @@ def _transposes(homset, pair: ConjugatePair, other_pair: ConjugatePair, targets)
 def adjunction_transpose(
     presheaf: SetValuedFunctor,
     copresheaf: SetValuedFunctor,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> AdjunctionWitness:
     """Compute both hom-sets of the adjunction and the transpose between
     them, verifying every round trip element by element."""
@@ -229,7 +229,7 @@ def adjunction_transpose(
     )
 
 
-def double_conjugate(presheaf: SetValuedFunctor, budget: Budget | int | None = None) -> tuple[ConjugatePair, ConjugatePair]:
+def double_conjugate(presheaf: SetValuedFunctor, budget: Budget | None = None) -> tuple[ConjugatePair, ConjugatePair]:
     """The pair (F*, F**) with their evaluation tables."""
     b = Budget.coerce(budget)
     star = conjugate_presheaf(presheaf, b)
@@ -237,7 +237,7 @@ def double_conjugate(presheaf: SetValuedFunctor, budget: Budget | int | None = N
     return star, dstar
 
 
-def unit(presheaf: SetValuedFunctor, budget: Budget | int | None = None) -> NatTransformation:
+def unit(presheaf: SetValuedFunctor, budget: Budget | None = None) -> NatTransformation:
     """The canonical comparison from a presheaf into its double conjugate:
     the transpose of the identity of the conjugate.
 
@@ -293,7 +293,7 @@ def _isomorphism_class(key: tuple, swaps: list[list[tuple[int, tuple[int, ...], 
 def reflexive_scan(
     category: FinCategory,
     max_set_size: int = 2,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> list[ReflexiveVerdict]:
     """Enumerate every contravariant functor with value sets of at most the
     given size (structural duplicates included, isomorphic ones not merged),

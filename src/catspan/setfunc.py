@@ -60,12 +60,9 @@ class Budget:
             raise BudgetExceeded(self.cap)
 
     @classmethod
-    def coerce(cls, budget: "Budget | int | None") -> "Budget":
-        if budget is None:
-            return cls()
-        if isinstance(budget, Budget):
-            return budget
-        return cls(int(budget))
+    def coerce(cls, budget: "Budget | None") -> "Budget":
+        """``budget``, or a fresh default one for ``None``."""
+        return cls() if budget is None else budget
 
 
 class FunctorLawError(ValueError):
@@ -402,7 +399,7 @@ def is_natural_iso(t: NatTransformation) -> bool:
 def enumerate_nat(
     source: SetValuedFunctor,
     target: SetValuedFunctor,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> list[NatTransformation]:
     """All natural transformations source => target, in canonical order.
 
@@ -587,7 +584,7 @@ class YonedaWitness(Frozen):
 def yoneda_lemma_bijection(
     presheaf: SetValuedFunctor,
     obj: str,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> YonedaWitness:
     """Exhibit nat(y(obj), F) <-> F(obj).
 
@@ -644,7 +641,7 @@ def pointwise_sum(left: SetValuedFunctor, right: SetValuedFunctor) -> SetValuedF
 def iso_check(
     left: SetValuedFunctor,
     right: SetValuedFunctor,
-    budget: Budget | int | None = None,
+    budget: Budget | None = None,
 ) -> NatTransformation | None:
     """First natural isomorphism left => right in canonical order, if any."""
     _require_parallel(left, right)

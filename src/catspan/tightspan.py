@@ -93,8 +93,11 @@ class FiniteMetricSpace(Frozen):
     __hash__ = object.__hash__
 
     def __init__(self, points: tuple[str, ...], dist: np.ndarray, tol: float):
+        positions = {p: i for i, p in enumerate(points)}
+        if len(positions) != len(points):
+            raise ValueError("duplicate point labels")
         super().__init__(points, dist, tol)
-        object.__setattr__(self, "_positions", {p: i for i, p in enumerate(points)})
+        object.__setattr__(self, "_positions", positions)
 
     def index(self, point: str) -> int:
         try:
@@ -165,9 +168,8 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     n x n array, so memory stays O(n^2): n = 200 takes tens of milliseconds.
     """
     labels = tuple(points)
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate point labels")
-    d = np.asarray(matrix, dtype=float)
+    d = np.array(matrix, dtype=float)
+    d.setflags(write=False)
     n = len(labels)
     if d.shape != (n, n):
         raise ValueError(f"distance matrix must be {n}x{n}, got {d.shape}")
@@ -175,6 +177,8 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     in_range = np.abs(d[np.isfinite(d)])
     scale = float(in_range[in_range <= MAX_DISTANCE].max(initial=0.0))
     tol = max(tol, TOL_SPACINGS * float(np.spacing(scale)))
+    # Built before the axioms are checked, so that repeated labels fail first.
+    space = FiniteMetricSpace(labels, d, tol)
 
     # NaN compares false with everything, so no later axiom would catch it.
     violations: list[tuple[str, tuple[str, ...]]] = [
@@ -212,9 +216,7 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
                     violations.append(("triangle", (labels[i], labels[j], labels[k])))
     if violations:
         raise MetricError(violations)
-    d = d.copy()
-    d.setflags(write=False)
-    return FiniteMetricSpace(labels, d, tol)
+    return space
 
 
 def kuratowski_embed(space: FiniteMetricSpace, point: str) -> DistanceFunction:
@@ -244,10 +246,11 @@ def extremality_defect(f: DistanceFunction) -> DefectReport:
     return DefectReport(max(slack, gap), slack, gap, slack <= f.space.tol)
 
 
-def extremal_project(f: DistanceFunction, max_iterations: int = MAX_ITERATIONS) -> DistanceFunction:
+def extremal_project(f: DistanceFunction) -> DistanceFunction:
     """Project an admissible function onto the extremal set by repeatedly
-    averaging it with its conjugate. The defect halves each round, values
-    only ever decrease, and already-extremal input is returned unchanged.
+    averaging it with its conjugate, for at most MAX_ITERATIONS rounds. The
+    defect halves each round, values only ever decrease, and
+    already-extremal input is returned unchanged.
 
     Admissibility is checked once, on entry. Averaging keeps it: if f is
     admissible then E(f)(x) >= d(x, y) - f(y) for every y, so (f + E f) / 2
@@ -268,7 +271,7 @@ def extremal_project(f: DistanceFunction, max_iterations: int = MAX_ITERATIONS) 
         return f
     h = f.values
     c = conjugate_values(f.space, h)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         h = np.maximum(0.5 * (h + c), 0.0)
         c = conjugate_values(f.space, h)
         # defect = max(slack, gap), so a gap above tol already fails the check.
@@ -276,7 +279,7 @@ def extremal_project(f: DistanceFunction, max_iterations: int = MAX_ITERATIONS) 
             candidate = DistanceFunction(f.space, h)
             if extremality_defect(candidate).defect <= tol:
                 return candidate
-    raise ProjectionError(max_iterations, extremality_defect(DistanceFunction(f.space, h)).defect)
+    raise ProjectionError(MAX_ITERATIONS, extremality_defect(DistanceFunction(f.space, h)).defect)
 
 
 def tight_span_distance(f: DistanceFunction, g: DistanceFunction) -> float:
@@ -327,12 +330,7 @@ def tripod(space: FiniteMetricSpace) -> TripodResult:
     return TripodResult(legs, DistanceFunction(space, np.array(legs)))
 
 
-def sample_tight_span(
-    space: FiniteMetricSpace,
-    count: int,
-    seed: int,
-    max_iterations: int = MAX_ITERATIONS,
-) -> list[DistanceFunction]:
+def sample_tight_span(space: FiniteMetricSpace, count: int, seed: int) -> list[DistanceFunction]:
     """Deterministically seeded extremal samples: an embedded point plus a
     nonnegative per-coordinate perturbation (admissible by construction),
     projected onto the extremal set."""
@@ -349,5 +347,5 @@ def sample_tight_span(
         anchor = int(rng.integers(len(space.points)))
         perturbation = rng.uniform(0.0, diameter, size=len(space.points)) if diameter > 0 else np.zeros(len(space.points))
         start = DistanceFunction(space, space.dist[anchor] + perturbation)
-        samples.append(extremal_project(start, max_iterations))
+        samples.append(extremal_project(start))
     return samples

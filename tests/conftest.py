@@ -1,21 +1,33 @@
 import pytest
 
 from catspan import corpus
+from catspan.fileformat import recording_reads
 
 
 @pytest.fixture(scope="session")
-def categories():
-    return corpus.corpus_categories()
+def corpus_functors():
+    """The corpus categories, presheaves and copresheaves, loaded in one
+    session, so that every functor's base is the category loaded here."""
+    with recording_reads():
+        categories = corpus.corpus_categories()
+        presheaves = {name: corpus.corpus_presheaves(name) for name in categories}
+        copresheaves = {name: corpus.corpus_copresheaves(name) for name in categories}
+    return categories, presheaves, copresheaves
 
 
 @pytest.fixture(scope="session")
-def presheaves(categories):
-    return {name: corpus.corpus_presheaves(name, cat) for name, cat in categories.items()}
+def categories(corpus_functors):
+    return corpus_functors[0]
 
 
 @pytest.fixture(scope="session")
-def copresheaves(categories):
-    return {name: corpus.corpus_copresheaves(name, cat) for name, cat in categories.items()}
+def presheaves(corpus_functors):
+    return corpus_functors[1]
+
+
+@pytest.fixture(scope="session")
+def copresheaves(corpus_functors):
+    return corpus_functors[2]
 
 
 @pytest.fixture(scope="session")

@@ -132,7 +132,7 @@ def test_criterion_6_tight_span_suite(metrics):
                     assert tight_span_distance(ex, kuratowski_embed(space, y)) == space.dist[i, j], name
 
         for name, space in metrics.items():
-            samples = sample_tight_span(space, 100, seed=0, max_iterations=10_000)
+            samples = sample_tight_span(space, 100, seed=0)
             assert len(samples) == 100, name
             for k, f in enumerate(samples):
                 assert extremality_defect(f).defect <= 1e-9, (name, k)

@@ -350,8 +350,7 @@ def test_projection_that_does_not_converge_is_a_usage_error(capsys, monkeypatch,
     # iterations.
     from catspan import tightspan
 
-    project = tightspan.extremal_project
-    monkeypatch.setattr(tightspan, "extremal_project", lambda f, max_iterations: project(f, 0))
+    monkeypatch.setattr(tightspan, "MAX_ITERATIONS", 0)
     path = fx("random5.metric.json")
     assert run(capsys, "metric-validate", path)[0] == 0
     code, out, err = run(capsys, *argv, path, "--format", "structured")
@@ -388,8 +387,10 @@ DUPLICATE_LABEL_FUNCTOR = {
         ("metric-validate", {"format": 1, "kind": "metric", "points": ["a", "a"], "d": [[0, 1], [1, 0]]},
          "points", "duplicate point label 'a'"),
         ("metric-validate", {"format": 1, "kind": "metric", "points": [], "d": []}, "points", "at least one point"),
+        ("validate-cat", {**BROKEN_CATEGORY, "identities": {"A": ["id_A"], "B": "id_B"}},
+         "identities.A", "expected a morphism id"),
     ],
-    ids=["functor-duplicate", "metric-duplicate", "metric-empty"],
+    ids=["functor-duplicate", "metric-duplicate", "metric-empty", "identity-not-a-string"],
 )
 def test_bad_labels_are_parse_errors(capsys, tmp_path, subcommand, doc, field, detail):
     (tmp_path / "terminal.category.json").write_text(fixture_path("terminal.category.json").read_text())
@@ -399,6 +400,25 @@ def test_bad_labels_are_parse_errors(capsys, tmp_path, subcommand, doc, field, d
     assert code == 2
     assert out == ""
     assert err.startswith(f"catspan: error: {path}: {field}: ") and detail in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("subcommand", ["metric-validate", "validate-cat"])
+@pytest.mark.parametrize(
+    "data,detail",
+    [
+        (b"\xff\xfe", "can't decode byte 0xff"),
+        (b'{"format": ' + b"7" * 5000 + b"}", "Exceeds the limit"),
+        (b"[" * 100_000, "recursion"),
+    ],
+    ids=["not-utf8", "long-integer", "deep-nesting"],
+)
+def test_undecodable_documents_are_parse_errors(capsys, tmp_path, subcommand, data, detail):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, subcommand, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"catspan: error: {path}: <file>: invalid JSON: ") and detail in err
     assert err.count("\n") == 1
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from catspan import (
     CONTRAVARIANT,
+    Budget,
     BudgetExceeded,
     adjunction_transpose,
     component_signature,
@@ -106,7 +107,7 @@ def test_arrow_terminal_copresheaf_sizes_match_oracle(categories, copresheaves):
 
 def test_conjugate_budget_propagates(presheaves):
     with pytest.raises(BudgetExceeded):
-        conjugate_presheaf(presheaves["z2"][0], budget=2)
+        conjugate_presheaf(presheaves["z2"][0], budget=Budget(2))
 
 
 # ------------------------------------------------- functoriality of conjugation
@@ -350,7 +351,7 @@ def test_scan_is_deterministic(categories):
 
 def test_scan_budget(categories):
     with pytest.raises(BudgetExceeded):
-        reflexive_scan(categories["square"], 2, budget=50)
+        reflexive_scan(categories["square"], 2, budget=Budget(50))
 
 
 def _scan_category(categories, name):

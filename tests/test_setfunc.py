@@ -166,7 +166,7 @@ def test_enumeration_is_deterministic(presheaves):
 def test_budget_exceeded_reports_cap(presheaves):
     f = presheaves["z2"][0]
     with pytest.raises(BudgetExceeded) as err:
-        enumerate_nat(f, f, budget=1)
+        enumerate_nat(f, f, budget=Budget(1))
     assert err.value.cap == 1
 
 

@@ -20,7 +20,8 @@ from catspan import (
     tripod,
     validate_metric,
 )
-from catspan.tightspan import MAX_DISTANCE
+from catspan import tightspan
+from catspan.tightspan import MAX_DISTANCE, FiniteMetricSpace, conjugate_values
 from oracles import brute_force_metric_violations, reference_projection
 
 TOL = 1e-9
@@ -261,12 +262,13 @@ def test_project_matches_full_defect_oracle(n, seed):
 
 
 @pytest.mark.parametrize("max_iterations", [0, 1, 3])
-def test_projection_error_matches_full_defect_oracle(max_iterations):
+def test_projection_error_matches_full_defect_oracle(monkeypatch, max_iterations):
     f = _admissible_start(10, 4)
     _, defect, converged = reference_projection(f.space.dist, f.values, f.space.tol, max_iterations)
     assert not converged
+    monkeypatch.setattr(tightspan, "MAX_ITERATIONS", max_iterations)
     with pytest.raises(ProjectionError) as err:
-        extremal_project(f, max_iterations)
+        extremal_project(f)
     assert err.value.iterations == max_iterations
     assert err.value.defect == defect
 
@@ -541,3 +543,63 @@ def test_scaling_by_a_power_of_two_scales_every_result(d, seed):
         assert np.array_equal(extremal_project(DistanceFunction(scaled, start * scale)).values, projected * scale), k
         for f, values in zip(sample_tight_span(scaled, 3, seed), samples):
             assert np.array_equal(f.values, values * scale), k
+
+
+# ---------------------------------------------------------- conjugation laws
+# E is conjugate_values. For a symmetric d, EE(f) <= f; E reverses order, so
+# EEE = E; and f is extremal exactly when it is a fixed point of E.
+
+
+@st.composite
+def cloud_spaces(draw):
+    """A valid metric from either cloud strategy above."""
+    if draw(st.booleans()):
+        return _metric_from_points(draw(euclidean_points()))
+    d = draw(far_l1_clouds())
+    labels = [f"q{i}" for i in range(len(d))]
+    assume(not _violations(labels, d))
+    return validate_metric(labels, d)
+
+
+def _nonnegative_values(draw, space):
+    fractions = draw(st.lists(st.floats(0, 2), min_size=len(space), max_size=len(space)))
+    return np.array(fractions) * space.diameter
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_double_conjugate_lies_below(data):
+    space = data.draw(cloud_spaces())
+    f = _nonnegative_values(data.draw, space)
+    assert np.all(conjugate_values(space, conjugate_values(space, f)) <= f + space.tol)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_triple_conjugate_is_conjugate(data):
+    space = data.draw(cloud_spaces())
+    f = _nonnegative_values(data.draw, space)
+    once = conjugate_values(space, f)
+    thrice = conjugate_values(space, conjugate_values(space, once))
+    assert np.max(np.abs(thrice - once)) <= space.tol
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_extremal_exactly_when_fixed_by_conjugation(data):
+    # Embedded points and samples are extremal; a drawn function mostly is not.
+    space = data.draw(cloud_spaces())
+    candidates = [kuratowski_embed(space, x) for x in space.points]
+    candidates += sample_tight_span(space, 2, data.draw(st.integers(0, 2**16)))
+    candidates.append(DistanceFunction(space, _nonnegative_values(data.draw, space)))
+    for f in candidates:
+        fixed = np.max(np.abs(conjugate_values(space, f.values) - f.values)) <= space.tol
+        assert (extremality_defect(f).defect <= space.tol) == fixed
+
+
+def test_metric_space_rejects_repeated_labels():
+    with pytest.raises(ValueError, match="duplicate point labels"):
+        FiniteMetricSpace(("a", "a"), np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-9)
+    # validate_metric raises it before any axiom is checked.
+    with pytest.raises(ValueError, match="duplicate point labels"):
+        validate_metric(["a", "a"], [[0.0, -1.0], [2.0, 1.0]])
