@@ -5,6 +5,9 @@ and a ``"kind"`` field. Structural problems are reported as ParseError with
 the offending field path. Loaders other than ``load_category`` check the
 category laws once, where a category enters, and report the first
 violation as a ParseError at the pseudo-path ``<laws>``.
+
+The category and functor parsers import ``fincat`` and ``setfunc`` when
+called, so that reading a metric loads neither.
 """
 
 from __future__ import annotations
@@ -15,8 +18,14 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
 
-from .fincat import FinCategory, Morphism, validate_category
-from .setfunc import CONTRAVARIANT, COVARIANT, SetValuedFunctor, validate_functor
+from .core import CONTRAVARIANT, COVARIANT
+
+# Type checkers read the block below; ``typing`` itself costs a command a few
+# milliseconds of start-up.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .fincat import FinCategory
+    from .setfunc import SetValuedFunctor
 
 FORMAT_VERSION = 1
 
@@ -70,6 +79,16 @@ def _once(kind: str, path: str | Path, load):
     return loaded[key]
 
 
+def _json_int(text: str) -> int | float:
+    """A JSON integer literal. One past Python's digit limit for ``int``
+    reads as ``float(text)``, an infinity, as a literal too long for the
+    float range already does, so that the metric axioms judge it."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def read_document(path: str | Path) -> dict:
     source = str(path)
     try:
@@ -79,11 +98,11 @@ def read_document(path: str | Path) -> dict:
     session = _session.get()
     if session is not None:
         session[0].append((source, data))
-    # UnicodeDecodeError and the integer digit limit of json.loads are
-    # ValueErrors too. No document of the schema nests beyond a few levels,
-    # so one deep enough to exhaust the recursion limit is invalid anyway.
+    # UnicodeDecodeError is a ValueError too. No document of the schema nests
+    # beyond a few levels, so one deep enough to exhaust the recursion limit
+    # is invalid anyway.
     try:
-        doc = json.loads(data.decode())
+        doc = json.loads(data.decode(), parse_int=_json_int)
     except (ValueError, RecursionError) as exc:
         raise ParseError(source, "<file>", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -118,6 +137,8 @@ def _first_duplicate(labels: list[str]) -> str | None:
 
 def parse_category(doc: dict, source: str = "<inline>") -> FinCategory:
     """Structural parse of a category document into an unvalidated candidate."""
+    from .fincat import FinCategory, Morphism
+
     _check_header(doc, source, "category")
     objects = _expect(doc, source, "objects", list, "list of labels")
     for i, obj in enumerate(objects):
@@ -166,6 +187,8 @@ def load_category(path: str | Path) -> FinCategory:
 
 
 def _require_laws(category: FinCategory, source: str) -> FinCategory:
+    from .fincat import validate_category
+
     report = validate_category(category)
     if not report.ok:
         first = report.violations[0]
@@ -190,6 +213,8 @@ def parse_functor(doc: dict, source: str, base_dir: Path) -> SetValuedFunctor:
     relative to ``base_dir``, the functor file's directory. Identity actions
     may be omitted.
     """
+    from .setfunc import validate_functor
+
     _check_header(doc, source, "functor")
     raw_cat = _expect(doc, source, "category", (str, dict), "path or inline category")
     if isinstance(raw_cat, str):
@@ -255,13 +280,22 @@ def parse_metric(doc: dict, source: str) -> tuple[list[str], list[list[float]]]:
     rows = _expect(doc, source, "d", list, "square matrix of numbers")
     if len(rows) != len(points):
         raise ParseError(source, "d", f"expected {len(points)} rows, got {len(rows)}")
+    matrix = []
     for i, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == len(points)):
             raise ParseError(source, f"d[{i}]", f"expected a row of {len(points)} numbers")
-        for j, x in enumerate(row):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise ParseError(source, f"d[{i}][{j}]", "expected a number")
-    return list(points), [[_as_float(x) for x in row] for row in rows]
+        # A row is checked entry by entry only when it holds something other
+        # than ints and floats, and converted only when it holds ints.
+        kinds = set(map(type, row))
+        if kinds == {float}:
+            matrix.append(row)
+            continue
+        if not kinds <= {int, float}:
+            for j, x in enumerate(row):
+                if not isinstance(x, (int, float)) or isinstance(x, bool):
+                    raise ParseError(source, f"d[{i}][{j}]", "expected a number")
+        matrix.append([_as_float(x) for x in row])
+    return list(points), matrix
 
 
 def load_metric_document(path: str | Path) -> tuple[list[str], list[list[float]]]:

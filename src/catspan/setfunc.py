@@ -29,40 +29,18 @@ from functools import cached_property
 from itertools import chain
 from operator import add, itemgetter
 
-from .fincat import FinCategory, Frozen, StructuralError, generators, opposite
-
-COVARIANT = "covariant"
-CONTRAVARIANT = "contravariant"
-
-DEFAULT_BUDGET = 10_000_000
-
-
-class BudgetExceeded(RuntimeError):
-    def __init__(self, cap: int):
-        super().__init__(f"enumeration budget exceeded (cap {cap} node expansions)")
-        self.cap = cap
-
-
-class Budget:
-    """Mutable node-expansion counter shared across nested enumerations."""
-
-    __slots__ = ("cap", "used")
-
-    def __init__(self, cap: int = DEFAULT_BUDGET):
-        if cap <= 0:
-            raise ValueError("budget cap must be positive")
-        self.cap = int(cap)
-        self.used = 0
-
-    def charge(self, amount: int = 1) -> None:
-        self.used += amount
-        if self.used > self.cap:
-            raise BudgetExceeded(self.cap)
-
-    @classmethod
-    def coerce(cls, budget: "Budget | None") -> "Budget":
-        """``budget``, or a fresh default one for ``None``."""
-        return cls() if budget is None else budget
+# The budget and the variance constants are defined in the leaf module
+# ``core`` and re-exported here.
+from .core import (
+    CONTRAVARIANT,
+    COVARIANT,
+    DEFAULT_BUDGET,
+    Budget,
+    BudgetExceeded,
+    Frozen,
+    StructuralError,
+)
+from .fincat import FinCategory, generators, opposite
 
 
 class FunctorLawError(ValueError):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fincat import Frozen
+from .core import Frozen
 
 DEFAULT_TOL = 1e-9
 WITNESS_TOL = 1e-6
@@ -208,9 +208,12 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
                     violations.append(("zero-distance", (labels[i], labels[j])))
         # Triangle, one row i at a time: bad[j, k] is d[i,k] > (d[i,j] + d[j,k]) + tol,
         # summed in the scalar order so borderline cases round the same way.
-        # O(n^3) comparisons in O(n^2) memory; np.argwhere keeps (j, k) order.
+        # O(n^3) comparisons in O(n^2) memory; np.argwhere keeps (j, k) order,
+        # and is skipped on a row without violations, the common case.
         for i in range(n):
             bad = d[i][None, :] > (d[i][:, None] + d) + tol
+            if not bad.any():
+                continue
             for j, k in np.argwhere(bad).tolist():
                 if i != j and j != k and i != k:
                     violations.append(("triangle", (labels[i], labels[j], labels[k])))
@@ -303,10 +306,9 @@ def geodesic_witness(f: DistanceFunction, point: str) -> str:
     # f(x) - (d(x, x') - f(x')), rounded as the gap of extremality_defect
     # is, so that a gap within tolerance leaves a residual within it too.
     residuals = np.abs(f.values[i] - (space.dist[i] - f.values))
-    witness_tol = max(WITNESS_TOL, space.tol)
-    for j, r in enumerate(residuals):
-        if r <= witness_tol:
-            return space.points[j]
+    partners = np.flatnonzero(residuals <= max(WITNESS_TOL, space.tol))
+    if partners.size:
+        return space.points[partners[0]]
     raise NoWitnessError(point, float(residuals.min()))
 
 

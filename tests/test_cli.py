@@ -408,10 +408,9 @@ def test_bad_labels_are_parse_errors(capsys, tmp_path, subcommand, doc, field, d
     "data,detail",
     [
         (b"\xff\xfe", "can't decode byte 0xff"),
-        (b'{"format": ' + b"7" * 5000 + b"}", "Exceeds the limit"),
         (b"[" * 100_000, "recursion"),
     ],
-    ids=["not-utf8", "long-integer", "deep-nesting"],
+    ids=["not-utf8", "deep-nesting"],
 )
 def test_undecodable_documents_are_parse_errors(capsys, tmp_path, subcommand, data, detail):
     path = tmp_path / "bad.json"
@@ -420,6 +419,30 @@ def test_undecodable_documents_are_parse_errors(capsys, tmp_path, subcommand, da
     assert (code, out) == (2, "")
     assert err.startswith(f"catspan: error: {path}: <file>: invalid JSON: ") and detail in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("subcommand", ["metric-validate", "validate-cat"])
+def test_long_integer_header_is_a_parse_error(capsys, tmp_path, subcommand):
+    """A literal past Python's digit limit for int reads as a float, so the
+    header check, not the JSON reader, rejects it."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"format": ' + b"7" * 5000 + b"}")
+    code, out, err = run(capsys, subcommand, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"catspan: error: {path}: format: expected format 1, got inf\n"
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_long_integer_distances_are_not_finite(capsys, tmp_path, digits):
+    """One verdict for an integer literal beyond the float range, whether or
+    not it also passes Python's digit limit for int."""
+    big = "7" * digits
+    path = tmp_path / "long.metric.json"
+    path.write_text(f'{{"format": 1, "kind": "metric", "points": ["a", "b"], "d": [[0, {big}], [{big}, 0]]}}')
+    code, out, err = run(capsys, "metric-validate", str(path), "--format", "structured")
+    assert (code, err) == (1, "")
+    violations = json.loads(out, parse_constant=_reject_constant)["results"]["violations"]
+    assert violations == [{"axiom": "finite", "witness": w} for w in (["a", "b"], ["b", "a"])]
 
 
 def test_tripod(capsys):

@@ -1,6 +1,7 @@
 """Start-up: numpy is imported only by the tight span, the conjugation
-module only by the conjugation subcommands, and no subcommand imports
-``dataclasses`` or, apart from what numpy loads, ``inspect``.
+module only by the conjugation subcommands, the category modules by no
+metric subcommand, and no subcommand imports ``dataclasses`` or, apart
+from what numpy loads, ``inspect``.
 
 Each check that depends on what a fresh interpreter has imported runs in a
 subprocess, since this test process has long since loaded numpy.
@@ -26,6 +27,9 @@ SRC = Path(catspan.__file__).resolve().parents[1]
 METRIC_SUBCOMMANDS = {"metric-validate", "tripod", "project", "geodesic-check", "sample-span"}
 CONJUGATION_SUBCOMMANDS = {"conjugate", "adjunction-check", "unit", "reflexive-scan"}
 CATEGORY_COMMANDS = [argv for argv in CLI_SUITE if argv[0] not in METRIC_SUBCOMMANDS]
+# Commands that read a category and check its laws, and nothing more.
+CATEGORY_ONLY_SUBCOMMANDS = {"validate-cat", "hom"}
+LIBRARY_MODULES = ("catspan.fincat", "catspan.setfunc", "catspan.isbell", "catspan.tightspan")
 
 
 def run_python(script: str, *args: str) -> str:
@@ -63,18 +67,45 @@ def test_each_command_imports_only_what_it_runs():
     script = """
 import contextlib, io, json, sys
 import catspan.cli
+loaded_by_import = [name for name in sys.argv[1:5] if name in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
-    code = catspan.cli.main(sys.argv[1:] + ["--format", "structured"])
-print(json.dumps([code] + [name in sys.modules for name in ("dataclasses", "inspect", "catspan.isbell")]))
+    code = catspan.cli.main(sys.argv[5:] + ["--format", "structured"])
+names = ("dataclasses", "inspect", *sys.argv[1:5])
+print(json.dumps([code, loaded_by_import, [name for name in names if name in sys.modules]]))
 """
     with ThreadPoolExecutor(max_workers=2) as pool:
-        seen = list(pool.map(lambda argv: json.loads(run_python(script, *argv)), CLI_SUITE))
-    for argv, (code, dataclasses, inspect, isbell) in zip(CLI_SUITE, seen):
+        seen = list(pool.map(lambda argv: json.loads(run_python(script, *LIBRARY_MODULES, *argv)), CLI_SUITE))
+    for argv, (code, loaded_by_import, loaded) in zip(CLI_SUITE, seen):
         assert code == 0, argv
-        assert not dataclasses, argv
-        assert not inspect or argv[0] in METRIC_SUBCOMMANDS, argv
-        assert isbell == (argv[0] in CONJUGATION_SUBCOMMANDS), argv
-    assert CONJUGATION_SUBCOMMANDS <= {argv[0] for argv in CLI_SUITE}
+        assert loaded_by_import == [], argv
+        assert "dataclasses" not in loaded, argv
+        assert "inspect" not in loaded or argv[0] in METRIC_SUBCOMMANDS, argv
+        assert ("catspan.isbell" in loaded) == (argv[0] in CONJUGATION_SUBCOMMANDS), argv
+        assert ("catspan.tightspan" in loaded) == (argv[0] in METRIC_SUBCOMMANDS), argv
+        assert ("catspan.fincat" in loaded) == (argv[0] not in METRIC_SUBCOMMANDS), argv
+        setfunc = argv[0] not in METRIC_SUBCOMMANDS | CATEGORY_ONLY_SUBCOMMANDS
+        assert ("catspan.setfunc" in loaded) == setfunc, argv
+    commands = {argv[0] for argv in CLI_SUITE}
+    assert CONJUGATION_SUBCOMMANDS | METRIC_SUBCOMMANDS | CATEGORY_ONLY_SUBCOMMANDS <= commands
+
+
+def test_category_names_resolve_on_first_use():
+    script = """
+import sys
+import catspan
+assert not [name for name in sys.modules if name.startswith("catspan.")]
+from catspan import FinCategory, Budget, enumerate_nat
+assert "catspan.isbell" not in sys.modules and "numpy" not in sys.modules
+core, fincat, setfunc = catspan.core, catspan.fincat, catspan.setfunc
+assert FinCategory is fincat.FinCategory and enumerate_nat is setfunc.enumerate_nat
+assert Budget is core.Budget is setfunc.Budget
+assert core.StructuralError is fincat.StructuralError and core.Frozen is fincat.Frozen is setfunc.Frozen
+print(sorted(name for module in ("core", "fincat", "setfunc") for name in catspan._EXPORTS[module]
+             if getattr(catspan, name) is getattr(getattr(catspan, module), name)))
+"""
+    names = [name for module in ("core", "fincat", "setfunc") for name in catspan._EXPORTS[module]]
+    assert run_python(script).strip() == str(sorted(names))
+    assert len(names) == 41
 
 
 def test_tightspan_names_resolve_on_first_use():
@@ -85,12 +116,13 @@ assert "catspan.tightspan" not in sys.modules and "numpy" not in sys.modules
 from catspan import DistanceFunction, validate_metric
 tightspan = catspan.tightspan
 assert tightspan is sys.modules["catspan.tightspan"] and "numpy" in sys.modules
+assert "catspan.fincat" not in sys.modules and "catspan.setfunc" not in sys.modules
 assert validate_metric is tightspan.validate_metric and DistanceFunction is tightspan.DistanceFunction
-print(sorted(name for name in catspan._TIGHTSPAN_NAMES if getattr(catspan, name) is getattr(tightspan, name)))
+print(sorted(name for name in catspan._EXPORTS["tightspan"] if getattr(catspan, name) is getattr(tightspan, name)))
 """
     resolved = run_python(script)
-    assert resolved.strip() == str(sorted(catspan._TIGHTSPAN_NAMES))
-    assert len(catspan._TIGHTSPAN_NAMES) == 19
+    assert resolved.strip() == str(sorted(catspan._EXPORTS["tightspan"]))
+    assert len(catspan._EXPORTS["tightspan"]) == 19
 
 
 def test_isbell_names_resolve_on_first_use():
@@ -101,10 +133,10 @@ assert "catspan.isbell" not in sys.modules
 from catspan import unit
 isbell = catspan.isbell
 assert isbell is sys.modules["catspan.isbell"] and unit is isbell.unit
-print(sorted(name for name in catspan._ISBELL_NAMES if getattr(catspan, name) is getattr(isbell, name)))
+print(sorted(name for name in catspan._EXPORTS["isbell"] if getattr(catspan, name) is getattr(isbell, name)))
 """
-    assert run_python(script).strip() == str(sorted(catspan._ISBELL_NAMES))
-    assert len(catspan._ISBELL_NAMES) == 10
+    assert run_python(script).strip() == str(sorted(catspan._EXPORTS["isbell"]))
+    assert len(catspan._EXPORTS["isbell"]) == 10
 
 
 def test_unknown_package_attribute_raises():
