@@ -81,8 +81,9 @@ def _once(kind: str, path: str | Path, load):
 
 def _json_int(text: str) -> int | float:
     """A JSON integer literal. One past Python's digit limit for ``int``
-    reads as ``float(text)``, an infinity, as a literal too long for the
-    float range already does, so that the metric axioms judge it."""
+    reads as ``float(text)``, an infinity, which is what ``parse_metric``
+    makes of a shorter literal beyond the float range: either is then
+    axiom ``finite`` of the metric, not a parse error."""
     try:
         return int(text)
     except ValueError:

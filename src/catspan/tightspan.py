@@ -306,9 +306,10 @@ def geodesic_witness(f: DistanceFunction, point: str) -> str:
     # f(x) - (d(x, x') - f(x')), rounded as the gap of extremality_defect
     # is, so that a gap within tolerance leaves a residual within it too.
     residuals = np.abs(f.values[i] - (space.dist[i] - f.values))
-    partners = np.flatnonzero(residuals <= max(WITNESS_TOL, space.tol))
-    if partners.size:
-        return space.points[partners[0]]
+    witness_tol = max(WITNESS_TOL, space.tol)
+    for j, r in enumerate(residuals):
+        if r <= witness_tol:
+            return space.points[j]
     raise NoWitnessError(point, float(residuals.min()))
 
 
