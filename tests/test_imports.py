@@ -66,15 +66,17 @@ def test_each_command_imports_only_what_it_runs():
     imports ``inspect``, so the metric subcommands are exempt from that one."""
     script = """
 import contextlib, io, json, sys
+libraries = json.loads(sys.argv[1])
 import catspan.cli
-loaded_by_import = [name for name in sys.argv[1:5] if name in sys.modules]
+loaded_by_import = [name for name in libraries if name in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
-    code = catspan.cli.main(sys.argv[5:] + ["--format", "structured"])
-names = ("dataclasses", "inspect", *sys.argv[1:5])
+    code = catspan.cli.main(sys.argv[2:] + ["--format", "structured"])
+names = ("dataclasses", "inspect", *libraries)
 print(json.dumps([code, loaded_by_import, [name for name in names if name in sys.modules]]))
 """
+    libraries = json.dumps(LIBRARY_MODULES)
     with ThreadPoolExecutor(max_workers=2) as pool:
-        seen = list(pool.map(lambda argv: json.loads(run_python(script, *LIBRARY_MODULES, *argv)), CLI_SUITE))
+        seen = list(pool.map(lambda argv: json.loads(run_python(script, libraries, *argv)), CLI_SUITE))
     for argv, (code, loaded_by_import, loaded) in zip(CLI_SUITE, seen):
         assert code == 0, argv
         assert loaded_by_import == [], argv
