@@ -41,9 +41,9 @@ from .fileformat import (
 )
 
 # Each handler imports the library modules it runs when it is called, so
-# that a command loads only those: ``.fincat`` and ``.setfunc`` for the
-# category and functor commands, ``.isbell`` besides for the four
-# conjugation commands, and ``.tightspan``, with numpy, for the metric
+# that a command loads only those: ``.fincat`` for the category commands,
+# ``.setfunc`` besides for the functor commands, ``.isbell`` besides for the
+# four conjugation commands, and ``.tightspan``, with numpy, for the metric
 # commands alone.
 
 
