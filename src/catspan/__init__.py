@@ -6,7 +6,8 @@ import importlib
 
 # Every public name is served on first use (PEP 562), from the module that
 # defines it, so that a command loads only the modules it runs: numpy is
-# needed only by the tight span, the conjugation module only by the
+# needed only where the tight span samples or works on a large metric
+# (``tightspan.NUMPY_FROM``), the conjugation module only by the
 # conjugation commands, and the category modules by neither the metric
 # commands nor the budget and error names, which live in the leaf ``core``.
 _EXPORTS = {
@@ -14,6 +15,7 @@ _EXPORTS = {
         "CONTRAVARIANT",
         "COVARIANT",
         "DEFAULT_BUDGET",
+        "DEFAULT_TOL",
         "Budget",
         "BudgetExceeded",
         "StructuralError",
@@ -58,7 +60,6 @@ _EXPORTS = {
         "yoneda_on_morphism",
     ),
     "tightspan": (
-        "DEFAULT_TOL",
         "MAX_ITERATIONS",
         "WITNESS_TOL",
         "DefectReport",

@@ -24,6 +24,7 @@ from .core import (
     CONTRAVARIANT,
     COVARIANT,
     DEFAULT_BUDGET,
+    DEFAULT_TOL,
     Budget,
     BudgetExceeded,
     StructuralError,
@@ -43,8 +44,9 @@ from .fileformat import (
 # Each handler imports the library modules it runs when it is called, so
 # that a command loads only those: ``.fincat`` for the category commands,
 # ``.setfunc`` besides for the functor commands, ``.isbell`` besides for the
-# four conjugation commands, and ``.tightspan``, with numpy, for the metric
-# commands alone.
+# four conjugation commands, and ``.tightspan`` for the metric commands
+# alone. ``.tightspan`` imports numpy only to sample and on metrics of
+# NUMPY_FROM points or more.
 
 
 class InputError(Exception):
@@ -409,7 +411,7 @@ def nonnegative_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node-expansion cap for enumerations")
-    common.add_argument("--tol", type=float, default=1e-9, help="numeric validation tolerance")
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric validation tolerance")
     common.add_argument("--seed", type=nonnegative_int, default=0, help="seed for sampling subcommands")
     common.add_argument("--format", choices=("text", "structured"), default="text", dest="output_format")
     common.add_argument("--output", default=None, help="write the report to this path instead of stdout")
@@ -495,7 +497,10 @@ def _emit(report: dict, args: argparse.Namespace, elapsed: float) -> None:
         lines.append(f"elapsed: {elapsed:.3f}s")
         text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:  # a directory, a missing parent, no permission
+            raise InputError(f"{args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -544,8 +549,9 @@ def run() -> None:
     catspan.cli``: ``main()``, then flush stdout and stderr and leave with
     ``os._exit``. That skips the interpreter's teardown, which frees every
     module and object one by one: on a 2-core VM about 10 ms after a
-    category command and 30 ms once numpy is loaded, against commands that
-    often compute for less. A failed flush exits 120, as the interpreter's
+    category command and 30 ms once numpy is loaded (by sampling, or by a
+    metric of ``tightspan.NUMPY_FROM`` points or more), against commands
+    that often compute for less. A failed flush exits 120, as the interpreter's
     own shutdown does. ``main`` returns its exit code instead, for callers
     in the same process."""
     code = main()

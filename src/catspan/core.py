@@ -1,11 +1,12 @@
 """The names every part of catspan shares: the immutable record base, the
-enumeration budget, the variance constants, and the two structural errors
-that the command line reports as usage errors.
+enumeration budget, the metric tolerance default, the variance constants,
+and the two structural errors that the command line reports as usage
+errors.
 
 This module imports nothing from catspan, so that a command loads only the
 modules it runs: the metric subcommands need ``Frozen`` and the budget but
 none of the category modules. ``fincat`` and ``setfunc`` re-export these
-names.
+names, and ``tightspan`` re-exports ``DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
 
 DEFAULT_BUDGET = 10_000_000
+# The absolute tolerance of metric validation, before validate_metric raises
+# it to the float spacing of the largest distance.
+DEFAULT_TOL = 1e-9
 
 
 class StructuralError(ValueError):

@@ -13,19 +13,28 @@ raises the caller's tolerance to a floor of TOL_SPACINGS float spacings of
 the largest entry and stores it on the space, and every later stage reads
 it from there.
 
-Metric validation is broadcast numpy: the triangle axiom is one n x n
-comparison per row, O(n^3) work in O(n^2) memory. Projection checks
-admissibility once on entry, then follows only the O(n^2) gap per round,
-since averaging an admissible function with its conjugate stays admissible.
+Distances and function values are tuples of Python floats, and every step
+runs on them in plain Python, except in two kernels once a space has
+NUMPY_FROM points: the triangle check of validate_metric, one n x n numpy
+comparison per row, and the averaging rounds of extremal_project. Below
+that size importing numpy costs more than the work, so a command on a
+small metric never imports it. sample_tight_span always does, since
+numpy's default_rng defines a seed's samples, and projects its starts with
+the numpy kernel. Both kernels of a pair round every sum in the same order
+and so return the same bits. Projection checks admissibility once on
+entry, then follows only the O(n^2) gap per round, since averaging an
+admissible function with its conjugate stays admissible.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+import sys
+from itertools import repeat
+from operator import sub
 
-from .core import Frozen
+from .core import DEFAULT_TOL, Frozen  # DEFAULT_TOL is re-exported
 
-DEFAULT_TOL = 1e-9
 WITNESS_TOL = 1e-6
 # The tolerance floor, in float spacings of the largest entry: above the few
 # roundings in a triangle sum, a slack or an average of function values.
@@ -36,7 +45,14 @@ MAX_ITERATIONS = 10_000
 # up to the diameter to a row of distances, so function values may reach
 # 2 * MAX_DISTANCE. The widest sum is then the slack d(x, y) - f(x) - f(y),
 # of magnitude at most 5 * MAX_DISTANCE, below the largest float.
-MAX_DISTANCE = float(np.finfo(float).max) / 8
+MAX_DISTANCE = sys.float_info.max / 8
+# The number of points from which the triangle check and the averaging
+# rounds run in numpy. In a fresh process the Python triangle check costs
+# as much as importing numpy and running the numpy check at about this size
+# (both near 108 ms at 100 points on a 2-core VM; 16 ms against 120 ms at
+# 50). One projection alone would pay for the import only near 200 points,
+# but from this size on validation has imported numpy already.
+NUMPY_FROM = 100
 
 
 class MetricError(ValueError):
@@ -83,16 +99,16 @@ class NoWitnessError(RuntimeError):
 
 
 class FiniteMetricSpace(Frozen):
-    """Points in a fixed order, their distance matrix, the absolute
-    tolerance every comparison on the space uses, and a point -> position
-    index built once. Compared by identity."""
+    """Points in a fixed order, their distance matrix as a tuple of rows of
+    floats, the absolute tolerance every comparison on the space uses, and
+    a point -> position index built once. Compared by identity."""
 
     __slots__ = ("points", "dist", "tol", "_positions")
     _fields = ("points", "dist", "tol")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, points: tuple[str, ...], dist: np.ndarray, tol: float):
+    def __init__(self, points: tuple[str, ...], dist: tuple[tuple[float, ...], ...], tol: float):
         positions = {p: i for i, p in enumerate(points)}
         if len(positions) != len(points):
             raise ValueError("duplicate point labels")
@@ -106,47 +122,46 @@ class FiniteMetricSpace(Frozen):
             raise KeyError(f"unknown point {point!r}") from None
 
     def distance(self, a: str, b: str) -> float:
-        return float(self.dist[self.index(a), self.index(b)])
+        return self.dist[self.index(a)][self.index(b)]
 
     @property
     def diameter(self) -> float:
-        return float(self.dist.max()) if len(self.points) else 0.0
+        return max(map(max, self.dist)) if self.points else 0.0
 
     def __len__(self) -> int:
         return len(self.points)
 
 
 def _same_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> bool:
-    return a.points == b.points and np.array_equal(a.dist, b.dist)
+    return a.points == b.points and a.dist == b.dist
 
 
 class DistanceFunction(Frozen):
     """A candidate point of the tight span: its nonnegative distance to
-    every point, at most 2 * MAX_DISTANCE. Compared by identity."""
+    every point, at most 2 * MAX_DISTANCE, as a tuple of floats. Compared
+    by identity."""
 
     __slots__ = _fields = ("space", "values")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, space: FiniteMetricSpace, values: np.ndarray):
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (len(space.points),):
-            raise ValueError(
-                f"expected {len(space.points)} values, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
+    def __init__(self, space: FiniteMetricSpace, values):
+        values = tuple(map(float, values))
+        if len(values) != len(space.points):
+            raise ValueError(f"expected {len(space.points)} values, got {len(values)}")
+        if not all(map(math.isfinite, values)):
             raise ValueError("distance values must be finite")
-        if arr.size and arr.min() < 0.0:
+        if values and min(values) < 0.0:
             raise ValueError("distance values must be nonnegative")
-        if arr.size and arr.max() > 2 * MAX_DISTANCE:
+        if values and max(values) > 2 * MAX_DISTANCE:
             raise ValueError(f"distance values must be at most {2 * MAX_DISTANCE:.6g}")
-        super().__init__(space, arr)
+        super().__init__(space, values)
 
     def value(self, point: str) -> float:
-        return float(self.values[self.space.index(point)])
+        return self.values[self.space.index(point)]
 
     def as_dict(self) -> dict[str, float]:
-        return {p: float(v) for p, v in zip(self.space.points, self.values)}
+        return dict(zip(self.space.points, self.values))
 
 
 def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
@@ -164,72 +179,97 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     i < j ``asymmetry`` before ``zero-distance``, and ``triangle`` in
     (i, j, k) order.
 
-    The triangle check compares all n^3 triples, one row i at a time as an
-    n x n array, so memory stays O(n^2): n = 200 takes tens of milliseconds.
+    Every axiom but the triangle is O(n^2) in Python. The triangle compares
+    all n^3 triples, in Python below NUMPY_FROM points and in numpy from
+    there on: n = 200 takes tens of milliseconds.
     """
     labels = tuple(points)
-    d = np.array(matrix, dtype=float)
-    d.setflags(write=False)
     n = len(labels)
-    if d.shape != (n, n):
-        raise ValueError(f"distance matrix must be {n}x{n}, got {d.shape}")
+    d = tuple(tuple(map(float, row)) for row in matrix)
+    if len(d) != n or any(len(row) != n for row in d):
+        raise ValueError(f"distance matrix must be {n}x{n}")
 
-    in_range = np.abs(d[np.isfinite(d)])
-    scale = float(in_range[in_range <= MAX_DISTANCE].max(initial=0.0))
-    tol = max(tol, TOL_SPACINGS * float(np.spacing(scale)))
+    scale = max((abs(x) for row in d for x in row if abs(x) <= MAX_DISTANCE), default=0.0)
+    tol = max(tol, TOL_SPACINGS * math.ulp(scale))
     # Built before the axioms are checked, so that repeated labels fail first.
     space = FiniteMetricSpace(labels, d, tol)
 
-    # NaN compares false with everything, so no later axiom would catch it.
-    violations: list[tuple[str, tuple[str, ...]]] = [
-        ("finite", (labels[i], labels[j])) for i, j in zip(*np.nonzero(~np.isfinite(d)))
+    # The entry axioms look entry by entry only in a row that breaks one of
+    # them. NaN compares false with everything, so no later axiom would
+    # catch it; inf - inf is NaN and a sum past the float range is inf, and
+    # the comparisons below read NaN as "no violation".
+    rows = [
+        i for i, row in enumerate(d)
+        if not (all(map(math.isfinite, row)) and -tol <= min(row) and max(row) <= MAX_DISTANCE)
     ]
-    # inf - inf and inf + -inf are NaN (entries already reported as ``finite``)
-    # and sums past the float range are inf; neither is worth a warning. The
-    # comparisons below read NaN as "no violation", as the scalar axioms do.
-    with np.errstate(invalid="ignore", over="ignore"):
-        violations += [
-            ("oversized-entry", (labels[i], labels[j]))
-            for i, j in np.argwhere(np.isfinite(d) & (d > MAX_DISTANCE)).tolist()
-        ]
-        violations += [
-            ("negative-entry", (labels[i], labels[j])) for i, j in np.argwhere(d < -tol).tolist()
-        ]
-        violations += [
-            ("nonzero-diagonal", (labels[i],)) for i in np.flatnonzero(np.abs(d.diagonal()) > tol)
-        ]
-        asymmetric = np.abs(d - d.T) > tol
-        zero = d <= tol
-        for i, j in np.argwhere(asymmetric | zero).tolist():
-            if i < j:
-                if asymmetric[i, j]:
-                    violations.append(("asymmetry", (labels[i], labels[j])))
-                if zero[i, j]:
-                    violations.append(("zero-distance", (labels[i], labels[j])))
-        # Triangle, one row i at a time: bad[j, k] is d[i,k] > (d[i,j] + d[j,k]) + tol,
-        # summed in the scalar order so borderline cases round the same way.
-        # O(n^3) comparisons in O(n^2) memory; np.argwhere keeps (j, k) order,
-        # and is skipped on a row without violations, the common case.
-        for i in range(n):
-            bad = d[i][None, :] > (d[i][:, None] + d) + tol
-            if not bad.any():
-                continue
-            for j, k in np.argwhere(bad).tolist():
-                if i != j and j != k and i != k:
-                    violations.append(("triangle", (labels[i], labels[j], labels[k])))
+
+    def entries(axiom: str, broken) -> list[tuple[str, tuple[str, ...]]]:
+        return [(axiom, (labels[i], labels[j])) for i in rows for j, x in enumerate(d[i]) if broken(x)]
+
+    violations = entries("finite", lambda x: not math.isfinite(x))
+    violations += entries("oversized-entry", lambda x: MAX_DISTANCE < x < math.inf)
+    violations += entries("negative-entry", lambda x: x < -tol)
+    violations += [("nonzero-diagonal", (labels[i],)) for i in range(n) if abs(d[i][i]) > tol]
+    for i, row in enumerate(d):
+        for j in range(i + 1, n):
+            if abs(row[j] - d[j][i]) > tol:
+                violations.append(("asymmetry", (labels[i], labels[j])))
+            if row[j] <= tol:
+                violations.append(("zero-distance", (labels[i], labels[j])))
+    triangles = _triangle_numpy(d, tol) if n >= NUMPY_FROM else _triangle(d, tol)
+    violations += [("triangle", (labels[i], labels[j], labels[k])) for i, j, k in triangles]
     if violations:
         raise MetricError(violations)
     return space
 
 
+def _triangle(d, tol: float) -> list[tuple[int, int, int]]:
+    """The triples (i, j, k) of distinct positions with d[i][k] > (d[i][j] +
+    d[j][k]) + tol, in (i, j, k) order, in a Python loop over all n^3."""
+    found = []
+    for i, row_i in enumerate(d):
+        for j, (dij, row_j) in enumerate(zip(row_i, d)):
+            if j == i:
+                continue
+            for k, (dik, djk) in enumerate(zip(row_i, row_j)):
+                if dik > (dij + djk) + tol and k != i and k != j:
+                    found.append((i, j, k))
+    return found
+
+
+def _triangle_numpy(d, tol: float) -> list[tuple[int, int, int]]:
+    """What _triangle returns, one row i at a time as an n x n numpy array:
+    bad[j, k] is d[i, k] > (d[i, j] + d[j, k]) + tol, the same sum in the
+    same order, so borderline cases round the same way. O(n^3) comparisons
+    in O(n^2) memory; np.argwhere keeps (j, k) order, and is skipped on a
+    row without violations, the common case."""
+    import numpy as np
+
+    a = np.array(d, dtype=float).reshape(len(d), len(d))
+    found = []
+    # inf - inf is NaN and sums past the float range are inf; neither is
+    # worth a warning, and NaN compares as "no violation".
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(len(d)):
+            bad = a[i][None, :] > (a[i][:, None] + a) + tol
+            if bad.any():
+                found += [(i, j, k) for j, k in np.argwhere(bad).tolist() if i != j and j != k and i != k]
+    return found
+
+
 def kuratowski_embed(space: FiniteMetricSpace, point: str) -> DistanceFunction:
     """The canonical isometric copy of a point: its row of the matrix."""
-    return DistanceFunction(space, space.dist[space.index(point)].copy())
+    return DistanceFunction(space, space.dist[space.index(point)])
 
 
-def conjugate_values(space: FiniteMetricSpace, values: np.ndarray) -> np.ndarray:
+def conjugate_values(space: FiniteMetricSpace, values) -> tuple[float, ...]:
     """E(f)(x) = max over x' of (d(x, x') - f(x'))."""
-    return (space.dist - values[None, :]).max(axis=1)
+    return tuple([max(map(sub, row, values)) for row in space.dist])
+
+
+def _slacks(d, v):
+    """The rows of (d(x, y) - f(x)) - f(y), summed in that order."""
+    return (map(sub, map(sub, row, repeat(fx)), v) for row, fx in zip(d, v))
 
 
 class DefectReport(Frozen):
@@ -240,12 +280,11 @@ class DefectReport(Frozen):
 
 
 def extremality_defect(f: DistanceFunction) -> DefectReport:
-    d = f.space.dist
     v = f.values
-    if v.size == 0:
+    if not v:
         return DefectReport(0.0, 0.0, 0.0, True)
-    slack = max(0.0, float((d - v[:, None] - v[None, :]).max()))
-    gap = float((v - conjugate_values(f.space, v)).max())
+    slack = max(0.0, max(map(max, _slacks(f.space.dist, v))))
+    gap = max(map(sub, v, conjugate_values(f.space, v)))
     return DefectReport(max(slack, gap), slack, gap, slack <= f.space.tol)
 
 
@@ -260,38 +299,77 @@ def extremal_project(f: DistanceFunction) -> DistanceFunction:
     is admissible too, and the O(n^2) slack need not be recomputed per
     round. Each round computes the conjugate once, tests only the gap, and
     feeds the same conjugate into the next average; the full defect,
-    slack included, is checked on an iterate whose gap passes.
+    slack included, is checked on an iterate whose gap passes. Below
+    NUMPY_FROM points this runs on Python floats, from there on in numpy.
     """
-    tol = f.space.tol
+    return _project_numpy(f) if len(f.values) >= NUMPY_FROM else _project(f)
+
+
+def _project(f: DistanceFunction) -> DistanceFunction:
+    """extremal_project's steps on Python floats."""
+    space, tol = f.space, f.space.tol
     report = extremality_defect(f)
     if not report.admissible:
-        d = f.space.dist
-        v = f.values
-        gaps = d - v[:, None] - v[None, :]
-        i, j = np.unravel_index(int(gaps.argmax()), gaps.shape)
-        raise InadmissibleError(report.slack, (f.space.points[i], f.space.points[j]))
+        # The first largest slack in row-major order, as numpy's argmax picks it.
+        slacks = [s for row in _slacks(space.dist, f.values) for s in row]
+        i, j = divmod(slacks.index(max(slacks)), len(f.values))
+        raise InadmissibleError(report.slack, (space.points[i], space.points[j]))
     if report.defect <= tol:
         return f
     h = f.values
-    c = conjugate_values(f.space, h)
+    c = conjugate_values(space, h)
     for _ in range(MAX_ITERATIONS):
-        h = np.maximum(0.5 * (h + c), 0.0)
-        c = conjugate_values(f.space, h)
+        # Clamped as np.maximum(m, 0.0) clamps, which makes -0.0 into 0.0.
+        h = tuple([m if m > 0.0 else 0.0 for m in [0.5 * (a + b) for a, b in zip(h, c)]])
+        c = conjugate_values(space, h)
         # defect = max(slack, gap), so a gap above tol already fails the check.
-        if float((h - c).max()) <= tol:
-            candidate = DistanceFunction(f.space, h)
+        if max(map(sub, h, c)) <= tol:
+            candidate = DistanceFunction(space, h)
             if extremality_defect(candidate).defect <= tol:
                 return candidate
-    raise ProjectionError(MAX_ITERATIONS, extremality_defect(DistanceFunction(f.space, h)).defect)
+    raise ProjectionError(MAX_ITERATIONS, extremality_defect(DistanceFunction(space, h)).defect)
+
+
+def _project_numpy(f: DistanceFunction, d=None) -> DistanceFunction:
+    """_project's steps on numpy arrays, each sum in the same order, so the
+    same bits; ``d`` is the space's matrix as an array, when the caller has
+    built it."""
+    import numpy as np
+
+    space, tol = f.space, f.space.tol
+    if d is None:
+        d = np.array(space.dist, dtype=float)
+
+    def conjugate(h):
+        return (d - h[None, :]).max(axis=1)
+
+    def defect(h, c):
+        slack = max(0.0, float((d - h[:, None] - h[None, :]).max()))
+        return max(slack, float((h - c).max())), slack
+
+    v = np.array(f.values, dtype=float)
+    c = conjugate(v)
+    start, slack = defect(v, c)
+    if slack > tol:
+        gaps = d - v[:, None] - v[None, :]
+        i, j = np.unravel_index(int(gaps.argmax()), gaps.shape)
+        raise InadmissibleError(slack, (space.points[i], space.points[j]))
+    if start <= tol:
+        return f
+    h = v
+    for _ in range(MAX_ITERATIONS):
+        h = np.maximum(0.5 * (h + c), 0.0)
+        c = conjugate(h)
+        if float((h - c).max()) <= tol and defect(h, c)[0] <= tol:
+            return DistanceFunction(space, h.tolist())
+    raise ProjectionError(MAX_ITERATIONS, defect(h, c)[0])
 
 
 def tight_span_distance(f: DistanceFunction, g: DistanceFunction) -> float:
     """Sup metric between two distance functions over the same space."""
     if not _same_space(f.space, g.space):
         raise ValueError("distance functions live over different spaces")
-    if f.values.size == 0:
-        return 0.0
-    return float(np.abs(f.values - g.values).max())
+    return max(map(abs, map(sub, f.values, g.values)), default=0.0)
 
 
 def geodesic_witness(f: DistanceFunction, point: str) -> str:
@@ -303,14 +381,15 @@ def geodesic_witness(f: DistanceFunction, point: str) -> str:
     """
     space = f.space
     i = space.index(point)
+    fx = f.values[i]
     # f(x) - (d(x, x') - f(x')), rounded as the gap of extremality_defect
     # is, so that a gap within tolerance leaves a residual within it too.
-    residuals = np.abs(f.values[i] - (space.dist[i] - f.values))
+    residuals = [abs(fx - (dxy - fy)) for dxy, fy in zip(space.dist[i], f.values)]
     witness_tol = max(WITNESS_TOL, space.tol)
-    for j, r in enumerate(residuals):
+    for partner, r in zip(space.points, residuals):
         if r <= witness_tol:
-            return space.points[j]
-    raise NoWitnessError(point, float(residuals.min()))
+            return partner
+    raise NoWitnessError(point, min(residuals))
 
 
 class TripodResult(Frozen):
@@ -326,29 +405,34 @@ def tripod(space: FiniteMetricSpace) -> TripodResult:
         raise ValueError(f"tripod needs exactly 3 points, got {len(space.points)}")
     d = space.dist
     legs = (
-        max(0.0, float((d[0, 1] + d[0, 2] - d[1, 2]) / 2.0)),
-        max(0.0, float((d[1, 0] + d[1, 2] - d[0, 2]) / 2.0)),
-        max(0.0, float((d[2, 0] + d[2, 1] - d[0, 1]) / 2.0)),
+        max(0.0, (d[0][1] + d[0][2] - d[1][2]) / 2.0),
+        max(0.0, (d[1][0] + d[1][2] - d[0][2]) / 2.0),
+        max(0.0, (d[2][0] + d[2][1] - d[0][1]) / 2.0),
     )
-    return TripodResult(legs, DistanceFunction(space, np.array(legs)))
+    return TripodResult(legs, DistanceFunction(space, legs))
 
 
 def sample_tight_span(space: FiniteMetricSpace, count: int, seed: int) -> list[DistanceFunction]:
     """Deterministically seeded extremal samples: an embedded point plus a
     nonnegative per-coordinate perturbation (admissible by construction),
-    projected onto the extremal set."""
+    projected onto the extremal set by the numpy kernel. The samples of a
+    seed are numpy's default_rng draws, so this always imports numpy."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
     if len(space.points) == 0:
         raise ValueError("cannot sample from an empty space")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     diameter = space.diameter
+    d = np.array(space.dist, dtype=float)
+    n = len(space.points)
     samples = []
     for _ in range(count):
-        anchor = int(rng.integers(len(space.points)))
-        perturbation = rng.uniform(0.0, diameter, size=len(space.points)) if diameter > 0 else np.zeros(len(space.points))
-        start = DistanceFunction(space, space.dist[anchor] + perturbation)
-        samples.append(extremal_project(start))
+        anchor = int(rng.integers(n))
+        perturbation = rng.uniform(0.0, diameter, size=n) if diameter > 0 else np.zeros(n)
+        start = DistanceFunction(space, (d[anchor] + perturbation).tolist())
+        samples.append(_project_numpy(start, d))
     return samples

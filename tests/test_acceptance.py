@@ -129,7 +129,7 @@ def test_criterion_6_tight_span_suite(metrics):
             for i, x in enumerate(space.points):
                 ex = kuratowski_embed(space, x)
                 for j, y in enumerate(space.points):
-                    assert tight_span_distance(ex, kuratowski_embed(space, y)) == space.dist[i, j], name
+                    assert tight_span_distance(ex, kuratowski_embed(space, y)) == space.dist[i][j], name
 
         for name, space in metrics.items():
             samples = sample_tight_span(space, 100, seed=0)

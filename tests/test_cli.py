@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from catspan import cli
 from catspan.cli import main
 from catspan.corpus import fixture_path
 from catspan.fileformat import load_functor, recording_reads
@@ -618,9 +619,21 @@ def test_deep_nat_is_not_limited_by_recursion(capsys, tmp_path):
     assert json.loads(out)["results"]["count"] == 1
 
 
-def test_unexpected_error_exits_two_with_one_line(capsys, tmp_path):
-    code, out, err = run(
-        capsys, "tripod", fx("triangle345.metric.json"), "--output", str(tmp_path / "missing" / "report.json"),
-    )
+def test_unexpected_error_exits_two_with_one_line(capsys, monkeypatch):
+    def broken_handler(args, budget):
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setitem(cli.HANDLERS, "tripod", broken_handler)
+    code, out, err = run(capsys, "tripod", fx("triangle345.metric.json"))
     assert code == 2
     assert err.startswith("catspan: ") and err.count("\n") == 1
+    assert err == "catspan: internal error: RuntimeError: handler failed\n" and out == ""
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/report.json"])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, target):
+    (tmp_path / "directory").mkdir()
+    path = str(tmp_path / target)
+    code, out, err = run(capsys, "tripod", fx("triangle345.metric.json"), "--output", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"catspan: error: {path}: ") and err.count("\n") == 1, err

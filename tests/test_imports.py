@@ -1,4 +1,5 @@
-"""Start-up: numpy is imported only by the tight span, the conjugation
+"""Start-up: numpy is imported only where the tight span samples or works
+on a metric of ``tightspan.NUMPY_FROM`` points or more, the conjugation
 module only by the conjugation subcommands, the category modules by no
 metric subcommand, and no subcommand imports ``dataclasses`` or, apart
 from what numpy loads, ``inspect``.
@@ -21,6 +22,7 @@ import pytest
 import catspan
 import catspan.cli
 from catspan.corpus import fixture_path
+from catspan.tightspan import NUMPY_FROM
 from test_acceptance import CLI_SUITE
 
 SRC = Path(catspan.__file__).resolve().parents[1]
@@ -30,6 +32,20 @@ CATEGORY_COMMANDS = [argv for argv in CLI_SUITE if argv[0] not in METRIC_SUBCOMM
 # Commands that read a category and check its laws, and nothing more.
 CATEGORY_ONLY_SUBCOMMANDS = {"validate-cat", "hom"}
 LIBRARY_MODULES = ("catspan.fincat", "catspan.setfunc", "catspan.isbell", "catspan.tightspan")
+# Metric commands on the corpus, whose metrics are far below NUMPY_FROM
+# points: they run on Python floats.
+SMALL_METRIC_COMMANDS = [
+    ["metric-validate", "random5.metric.json"],
+    ["tripod", "triangle345.metric.json"],
+    ["project", "triangle345.metric.json", "3", "3", "3"],
+    ["geodesic-check", "triangle345.metric.json", "1", "2", "3"],
+]
+# Sampling draws from numpy's default_rng: sample-span, and geodesic-check
+# given no function values.
+SAMPLING_COMMANDS = [
+    argv for argv in CLI_SUITE
+    if argv[0] == "sample-span" or argv[0] == "geodesic-check" and argv[2] == "--samples"
+]
 
 
 def run_python(script: str, *args: str) -> str:
@@ -43,27 +59,36 @@ def run_python(script: str, *args: str) -> str:
     return done.stdout
 
 
-def test_category_commands_do_not_import_numpy():
+def test_category_commands_do_not_import_numpy(tmp_path):
+    """Nor do the metric commands on small metrics, which also leave out
+    ``inspect``, in one interpreter; validating a NUMPY_FROM-point metric
+    then loads numpy."""
     script = """
 import contextlib, io, json, sys
 import catspan.cli
-seen = [["import catspan.cli", 0, "numpy" in sys.modules]]
+seen = [["import catspan.cli", 0, "numpy" in sys.modules, "inspect" in sys.modules]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = catspan.cli.main(argv + ["--format", "structured"])
-    seen.append([" ".join(argv), code, "numpy" in sys.modules])
+    seen.append([" ".join(argv), code, "numpy" in sys.modules, "inspect" in sys.modules])
 print(json.dumps(seen))
 """
-    metric = ["metric-validate", "random5.metric.json"]
-    seen = json.loads(run_python(script, json.dumps([*CATEGORY_COMMANDS, metric])))
+    line = [[float(abs(i - j)) for j in range(NUMPY_FROM)] for i in range(NUMPY_FROM)]
+    large = tmp_path / "line.metric.json"
+    large.write_text(json.dumps({"format": 1, "kind": "metric", "points": [f"p{i}" for i in range(NUMPY_FROM)], "d": line}))
+    large_metric = ["metric-validate", str(large)]
+    commands = [*CATEGORY_COMMANDS, *SMALL_METRIC_COMMANDS, large_metric]
+    seen = json.loads(run_python(script, json.dumps(commands)))
     assert {argv[0] for argv in CATEGORY_COMMANDS} == set(catspan.cli.HANDLERS) - METRIC_SUBCOMMANDS
-    assert [code for _, code, _ in seen] == [0] * len(seen)
-    assert [command for command, _, numpy in seen if numpy] == [" ".join(metric)]
+    assert {argv[0] for argv in SMALL_METRIC_COMMANDS} == METRIC_SUBCOMMANDS - {"sample-span"}
+    assert [code for _, code, _, _ in seen] == [0] * len(seen)
+    assert [command for command, _, numpy, _ in seen if numpy] == [" ".join(large_metric)]
+    assert [command for command, _, _, inspect in seen[:-1] if inspect] == []
 
 
 def test_each_command_imports_only_what_it_runs():
-    """Every command of the suite in its own interpreter. numpy itself
-    imports ``inspect``, so the metric subcommands are exempt from that one."""
+    """Every command of the suite in its own interpreter. Only the sampling
+    commands load numpy, which itself imports ``inspect``."""
     script = """
 import contextlib, io, json, sys
 libraries = json.loads(sys.argv[1])
@@ -71,7 +96,7 @@ import catspan.cli
 loaded_by_import = [name for name in libraries if name in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = catspan.cli.main(sys.argv[2:] + ["--format", "structured"])
-names = ("dataclasses", "inspect", *libraries)
+names = ("dataclasses", "inspect", "numpy", *libraries)
 print(json.dumps([code, loaded_by_import, [name for name in names if name in sys.modules]]))
 """
     libraries = json.dumps(LIBRARY_MODULES)
@@ -81,13 +106,15 @@ print(json.dumps([code, loaded_by_import, [name for name in names if name in sys
         assert code == 0, argv
         assert loaded_by_import == [], argv
         assert "dataclasses" not in loaded, argv
-        assert "inspect" not in loaded or argv[0] in METRIC_SUBCOMMANDS, argv
+        assert ("numpy" in loaded) == (argv in SAMPLING_COMMANDS), argv
+        assert "inspect" not in loaded or argv in SAMPLING_COMMANDS, argv
         assert ("catspan.isbell" in loaded) == (argv[0] in CONJUGATION_SUBCOMMANDS), argv
         assert ("catspan.tightspan" in loaded) == (argv[0] in METRIC_SUBCOMMANDS), argv
         assert ("catspan.fincat" in loaded) == (argv[0] not in METRIC_SUBCOMMANDS), argv
         setfunc = argv[0] not in METRIC_SUBCOMMANDS | CATEGORY_ONLY_SUBCOMMANDS
         assert ("catspan.setfunc" in loaded) == setfunc, argv
     commands = {argv[0] for argv in CLI_SUITE}
+    assert {argv[0] for argv in SAMPLING_COMMANDS} == {"sample-span", "geodesic-check"}
     assert CONJUGATION_SUBCOMMANDS | METRIC_SUBCOMMANDS | CATEGORY_ONLY_SUBCOMMANDS <= commands
 
 
@@ -107,7 +134,7 @@ print(sorted(name for module in ("core", "fincat", "setfunc") for name in catspa
 """
     names = [name for module in ("core", "fincat", "setfunc") for name in catspan._EXPORTS[module]]
     assert run_python(script).strip() == str(sorted(names))
-    assert len(names) == 41
+    assert len(names) == 42
 
 
 def test_tightspan_names_resolve_on_first_use():
@@ -117,14 +144,17 @@ import catspan
 assert "catspan.tightspan" not in sys.modules and "numpy" not in sys.modules
 from catspan import DistanceFunction, validate_metric
 tightspan = catspan.tightspan
-assert tightspan is sys.modules["catspan.tightspan"] and "numpy" in sys.modules
+assert tightspan is sys.modules["catspan.tightspan"]
 assert "catspan.fincat" not in sys.modules and "catspan.setfunc" not in sys.modules
 assert validate_metric is tightspan.validate_metric and DistanceFunction is tightspan.DistanceFunction
-print(sorted(name for name in catspan._EXPORTS["tightspan"] if getattr(catspan, name) is getattr(tightspan, name)))
+assert tightspan.DEFAULT_TOL is catspan.DEFAULT_TOL is catspan.core.DEFAULT_TOL
+resolved = sorted(name for name in catspan._EXPORTS["tightspan"] if getattr(catspan, name) is getattr(tightspan, name))
+assert "numpy" not in sys.modules
+print(resolved)
 """
     resolved = run_python(script)
     assert resolved.strip() == str(sorted(catspan._EXPORTS["tightspan"]))
-    assert len(catspan._EXPORTS["tightspan"]) == 19
+    assert len(catspan._EXPORTS["tightspan"]) == 18
 
 
 def test_isbell_names_resolve_on_first_use():

@@ -21,7 +21,7 @@ from catspan import (
     validate_metric,
 )
 from catspan import tightspan
-from catspan.tightspan import MAX_DISTANCE, FiniteMetricSpace, conjugate_values
+from catspan.tightspan import MAX_DISTANCE, NUMPY_FROM, TOL_SPACINGS, FiniteMetricSpace, conjugate_values
 from oracles import brute_force_metric_violations, reference_projection
 
 TOL = 1e-9
@@ -184,7 +184,7 @@ def test_embedding_isometry_exact(metrics):
         for i, x in enumerate(space.points):
             for j, y in enumerate(space.points):
                 d = tight_span_distance(kuratowski_embed(space, x), kuratowski_embed(space, y))
-                assert d == space.dist[i, j], (name, x, y)
+                assert d == space.dist[i][j], (name, x, y)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -279,7 +279,7 @@ def test_project_345_postconditions(metrics):
     g = extremal_project(f)
     report = extremality_defect(g)
     assert report.admissible and report.defect <= TOL
-    assert np.all(g.values <= f.values + TOL)
+    assert all(a <= b + TOL for a, b in zip(g.values, f.values))
     # every point has an equality witness
     for x in space.points:
         geodesic_witness(g, x)
@@ -375,7 +375,7 @@ def test_tripod_hub_equalities(metrics):
         legs = tripod(space).legs
         for i in range(3):
             for j in range(i + 1, 3):
-                assert math.isclose(legs[i] + legs[j], space.dist[i, j], abs_tol=TOL), name
+                assert math.isclose(legs[i] + legs[j], space.dist[i][j], abs_tol=TOL), name
 
 
 def test_tripod_collinear_hub_is_middle_point(metrics):
@@ -417,7 +417,7 @@ def test_samples_are_extremal_and_fix_the_averaging_map(metrics):
     for name, space in metrics.items():
         for f in sample_tight_span(space, 20, seed=1):
             assert extremality_defect(f).defect <= TOL, name
-            averaged = 0.5 * (f.values + conjugate_values(space, f.values))
+            averaged = 0.5 * (np.array(f.values) + conjugate_values(space, f.values))
             assert np.max(np.abs(averaged - f.values)) <= TOL, name
 
 
@@ -464,13 +464,17 @@ def euclidean_points(draw, n_min=3, n_max=6):
     return coords
 
 
-def _metric_from_points(coords):
+def _euclidean_matrix(coords):
     n = len(coords)
     d = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             d[i, j] = d[j, i] = math.hypot(coords[i][0] - coords[j][0], coords[i][1] - coords[j][1])
-    return validate_metric([f"q{i}" for i in range(n)], d)
+    return d
+
+
+def _metric_from_points(coords):
+    return validate_metric([f"q{i}" for i in range(len(coords))], _euclidean_matrix(coords))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -497,7 +501,7 @@ def test_projected_perturbations_are_extremal_with_witnesses(coords, seed):
     anchor = int(rng.integers(len(space.points)))
     f = DistanceFunction(space, space.dist[anchor] + rng.uniform(0, space.diameter, len(space.points)))
     g = extremal_project(f)
-    assert np.all(g.values <= f.values + TOL)
+    assert all(a <= b + TOL for a, b in zip(g.values, f.values))
     report = extremality_defect(g)
     assert report.admissible and report.defect <= TOL
     for x in space.points:
@@ -530,9 +534,9 @@ def test_scaling_by_a_power_of_two_scales_every_result(d, seed):
     violations = _violations(labels, d)
     if not violations:
         space = validate_metric(labels, d)
-        start = space.dist[0] + space.diameter  # admissible: a raised row
-        projected = extremal_project(DistanceFunction(space, start)).values
-        samples = [f.values for f in sample_tight_span(space, 3, seed)]
+        start = np.array(space.dist[0]) + space.diameter  # admissible: a raised row
+        projected = np.array(extremal_project(DistanceFunction(space, start)).values)
+        samples = [np.array(f.values) for f in sample_tight_span(space, 3, seed)]
     for k in range(21):
         scale = 2.0**k
         assert _violations(labels, d * scale) == violations, k
@@ -581,7 +585,7 @@ def test_triple_conjugate_is_conjugate(data):
     f = _nonnegative_values(data.draw, space)
     once = conjugate_values(space, f)
     thrice = conjugate_values(space, conjugate_values(space, once))
-    assert np.max(np.abs(thrice - once)) <= space.tol
+    assert np.max(np.abs(np.subtract(thrice, once))) <= space.tol
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -593,8 +597,117 @@ def test_extremal_exactly_when_fixed_by_conjugation(data):
     candidates += sample_tight_span(space, 2, data.draw(st.integers(0, 2**16)))
     candidates.append(DistanceFunction(space, _nonnegative_values(data.draw, space)))
     for f in candidates:
-        fixed = np.max(np.abs(conjugate_values(space, f.values) - f.values)) <= space.tol
+        fixed = np.max(np.abs(np.subtract(conjugate_values(space, f.values), f.values))) <= space.tol
         assert (extremality_defect(f).defect <= space.tol) == fixed
+
+
+# ---------------------------------------------------------- both kernels
+# From NUMPY_FROM points on, the triangle check and the averaging rounds run
+# in numpy. Each pair of kernels must return the same bits, so that the size
+# of a metric never changes a verdict, a witness or a printed value.
+
+
+def _rows(d):
+    return tuple(map(tuple, np.asarray(d, dtype=float).tolist()))
+
+
+def _triangles_agree(d, tol=TOL):
+    rows = _rows(d)
+    found = tightspan._triangle(rows, tol)
+    assert found == tightspan._triangle_numpy(rows, tol)
+    return found
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(raw_matrices(), st.sampled_from([0, 100, 300]))
+@example(BORDERLINE_TRIANGLE, 0)
+def test_triangle_kernels_agree_on_raw_matrices(d, exponent):
+    # NaN, infinities, oversized entries, and once scaled up to 1e300 sums
+    # past the float range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _triangles_agree(d * 10.0**exponent, TOL * 10.0**exponent)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.one_of(euclidean_points().map(_euclidean_matrix), far_l1_clouds()), st.sampled_from([1.0, 1e150, 1e290]))
+def test_triangle_kernels_agree_on_clouds(d, scale):
+    scaled = d * scale
+    _triangles_agree(scaled, max(TOL, TOL_SPACINGS * math.ulp(float(scaled.max()))))
+
+
+@pytest.mark.parametrize("n", [NUMPY_FROM - 1, NUMPY_FROM])
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+def test_triangle_kernels_agree_on_planted_violations(n, scale):
+    rng = np.random.default_rng(n)
+    coords = rng.uniform(0.0, 10.0, size=(n, 3))
+    d = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2) * scale
+    d[17, 62] = d[62, 17] = 3.0 * d[17, 62]
+    tol = max(TOL, TOL_SPACINGS * math.ulp(float(d.max())))
+    found = _triangles_agree(d, tol)
+    assert found
+    labels = [f"q{i}" for i in range(n)]
+    assert _violations(labels, d) == [("triangle", (labels[i], labels[j], labels[k])) for i, j, k in found]
+    # Non-finite and oversized entries make triangles of their own.
+    d[3, 5], d[8, 2], d[9, 9], d[20, 21] = math.nan, math.inf, -math.inf, 1e308
+    _triangles_agree(d, tol)
+
+
+def test_violations_below_numpy_from_match_loop_oracle():
+    n = NUMPY_FROM - 1
+    rng = np.random.default_rng(6)
+    d = np.abs(rng.uniform(0.0, 10.0, size=(n, 1)) - rng.uniform(0.0, 10.0, size=(1, n)))
+    d = np.minimum(d, d.T)
+    d[0, 1], d[4, 4], d[7, 3], d[9, 2], d[11, 12] = math.nan, 1.0, -1.0, 1e308, math.inf
+    labels = [f"q{i}" for i in range(n)]
+    violations = _violations(labels, d)
+    assert {axiom for axiom, _ in violations} >= {"finite", "oversized-entry", "negative-entry", "nonzero-diagonal"}
+    assert violations == brute_force_metric_violations(labels, d, TOL)
+
+
+def _projections_agree(f):
+    """Run both projection kernels on f; return the shared outcome."""
+    outcomes = []
+    for project in (tightspan._project, tightspan._project_numpy):
+        try:
+            g = project(f)
+        except InadmissibleError as exc:
+            outcomes.append(("inadmissible", exc.slack.hex(), exc.witness))
+        except ProjectionError as exc:
+            outcomes.append(("iteration-cap", exc.iterations, exc.defect.hex()))
+        else:
+            outcomes.append(("extremal", g is f, [v.hex() for v in g.values]))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_projection_kernels_agree_on_clouds(data):
+    space = data.draw(cloud_spaces())
+    raised = [x + space.diameter for x in space.dist[0]]
+    drawn = _nonnegative_values(data.draw, space)
+    for values in (raised, drawn, space.dist[-1], [0.0] * len(space)):
+        _projections_agree(DistanceFunction(space, values))
+
+
+@pytest.mark.parametrize("n", [3, NUMPY_FROM - 1, NUMPY_FROM])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_projection_kernels_agree_on_both_sides_of_numpy_from(n, seed):
+    f = _admissible_start(n, seed)
+    assert _projections_agree(f)[0] == "extremal"
+    assert extremal_project(f).values == tightspan._project(f).values
+    # Every pair falls short of its distance; the widest is the first
+    # largest distance in row-major order.
+    assert _projections_agree(DistanceFunction(f.space, [0.0] * n))[0] == "inadmissible"
+    shrunk = DistanceFunction(f.space, [v / 4 for v in f.values])
+    assert _projections_agree(shrunk)[0] in ("inadmissible", "extremal")
+
+
+@pytest.mark.parametrize("max_iterations", [0, 1, 3])
+@pytest.mark.parametrize("n", [10, NUMPY_FROM])
+def test_projection_kernels_agree_at_the_iteration_cap(monkeypatch, max_iterations, n):
+    monkeypatch.setattr(tightspan, "MAX_ITERATIONS", max_iterations)
+    assert _projections_agree(_admissible_start(n, 4))[:2] == ("iteration-cap", max_iterations)
 
 
 def test_metric_space_rejects_repeated_labels():
