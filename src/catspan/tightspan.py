@@ -245,7 +245,7 @@ def _triangle_numpy(d, tol: float) -> list[tuple[int, int, int]]:
     row without violations, the common case."""
     import numpy as np
 
-    a = np.array(d, dtype=float).reshape(len(d), len(d))
+    a = np.array(d, dtype=float)
     found = []
     # inf - inf is NaN and sums past the float range are inf; neither is
     # worth a warning, and NaN compares as "no violation".
