@@ -41,7 +41,6 @@ _EXPORTS = {
         "SetValuedFunctor",
         "YonedaWitness",
         "component_signature",
-        "compose_functions",
         "compose_nat",
         "coyoneda",
         "coyoneda_on_morphism",

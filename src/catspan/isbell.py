@@ -20,10 +20,10 @@ One transpose routine serves both directions of the adjunction, and the
 unit is the transpose of the identity of the conjugate.
 
 Actions are computed on the generating morphisms of the base
-(``fincat.generators``) and composed along the derivations for the rest:
-the conjugate's action, and each candidate of the reflexive scan, which
-charges one unit of budget per candidate, a choice of action for each
-generator. The functor-law check that follows covers every composite.
+(``fincat.generators``) only: the conjugate's action, and each candidate
+of the reflexive scan, which charges one unit of budget per candidate, a
+choice of action for each generator. ``setfunc.from_generators`` derives
+the rest and checks the relations, the only laws this leaves open.
 """
 
 from __future__ import annotations
@@ -37,19 +37,17 @@ from .setfunc import (
     Bijection,
     Budget,
     FinSet,
-    FunctorLawError,
     NatTransformation,
     SetFunction,
     SetValuedFunctor,
     _composite,
     _offsets,
-    compose_functions,
     coyoneda,
     dual,
     enumerate_nat,
+    from_generators,
     identity_nat,
     is_natural_iso,
-    validate_functor,
     yoneda,
     yoneda_on_morphism,
 )
@@ -84,26 +82,20 @@ def _labels(n: int) -> FinSet:
 def _conjugate(presheaf: SetValuedFunctor, budget: Budget) -> ConjugatePair:
     """Object X carries the transformations presheaf => y(X), labeled t0,
     t1, ... in enumeration order. A generating morphism u: X -> Y acts by
-    postcomposition with y(u): y(X) => y(Y), slot by slot; every other
-    action is the composite along its derivation, and validate_functor
-    checks every composite."""
+    postcomposition with y(u): y(X) => y(Y), slot by slot; from_generators
+    derives the other actions and checks the relations."""
     base = presheaf.base
-    gens, derivations = generators(base)
     tables = {obj: enumerate_nat(presheaf, yoneda(base, obj), budget) for obj in base.objects}
     # Slot tuples are distinct, so each index lists them in table order.
     index = {obj: {t.slots: i for i, t in enumerate(entries)} for obj, entries in tables.items()}
-    on_objects = {obj: _labels(len(tables[obj])) for obj in base.objects}
-    on_morphisms = {}
-    for label in gens:
+    images = []
+    for label in generators(base)[0]:
         m = base.morphism(label)
         u = yoneda_on_morphism(base, label)
         offsets = _offsets(presheaf, u.source)
-        images = tuple(_locate(index, m.tgt, _composite(u.slots, offsets, slots)) for slots in index[m.src])
-        on_morphisms[label] = SetFunction._trusted(on_objects[m.src], on_objects[m.tgt], images)
-    for r, g, f in derivations:
-        on_morphisms[r] = compose_functions(on_morphisms[g], on_morphisms[f])
-    conjugate = validate_functor(base, COVARIANT, on_objects, on_morphisms)
-    return ConjugatePair(presheaf, conjugate, tables, index)
+        images.append(tuple(_locate(index, m.tgt, _composite(u.slots, offsets, slots)) for slots in index[m.src]))
+    on_objects = {obj: _labels(len(tables[obj])) for obj in base.objects}
+    return ConjugatePair(presheaf, from_generators(base, COVARIANT, on_objects, images), tables, index)
 
 
 def conjugate_presheaf(presheaf: SetValuedFunctor, budget: Budget | None = None) -> ConjugatePair:
@@ -301,11 +293,11 @@ def reflexive_scan(
     isomorphism.
 
     A candidate picks an action for each generating morphism of the
-    category, derives every other action along its derivation, F(g . f) =
-    F(f) . F(g), and is kept when validate_functor accepts it, which checks
-    every relation of the composition table. Each candidate costs one unit
-    of budget. Value-set size vectors are swept in lexicographic order, and
-    within one the functors are reported in lexicographic order of the
+    category; ``from_generators`` derives every other action along its
+    derivation, F(g . f) = F(f) . F(g), and keeps the candidate when it
+    meets every relation of the composition table. Each candidate costs one
+    unit of budget. Value-set size vectors are swept in lexicographic order,
+    and within one the functors are reported in lexicographic order of the
     actions of every non-identity morphism in declaration order, so the
     report order is deterministic.
 
@@ -322,7 +314,7 @@ def reflexive_scan(
     if max_set_size < 0:
         raise ValueError("max_set_size must be nonnegative")
     b = Budget.coerce(budget)
-    gens, derivations = generators(category)
+    gens = generators(category)[0]
     non_identity = [m.label for m in category.morphisms if not category.is_identity(m.label)]
     ends = [(m.src, m.tgt) for m in map(category.morphism, gens)]
     verdicts: list[ReflexiveVerdict] = []
@@ -332,49 +324,35 @@ def reflexive_scan(
             obj: FinSet(tuple(f"x{k}" for k in range(n)))
             for obj, n in zip(category.objects, sizes)
         }
-        choice_lists = []
-        for label in gens:
-            m = category.morphism(label)
-            dom, cod = on_objects[m.tgt], on_objects[m.src]  # contravariant action
-            functions = [
-                SetFunction._trusted(dom, cod, pick)
-                for pick in itertools.product(range(len(cod)), repeat=len(dom))
-            ]
-            if not functions:
-                break
-            choice_lists.append(functions)
-        else:
-            functors = []
-            for picks in itertools.product(*choice_lists):
-                b.charge()
-                on_morphisms = dict(zip(gens, picks))
-                for r, g, f in derivations:
-                    on_morphisms[r] = compose_functions(on_morphisms[f], on_morphisms[g])
-                try:
-                    functors.append(validate_functor(category, CONTRAVARIANT, on_objects, on_morphisms))
-                except FunctorLawError:
-                    continue
-            functors.sort(key=lambda functor: tuple(functor.act(label).images for label in non_identity))
-            swaps = []
-            for obj, n in zip(category.objects, sizes):
-                for k in range(n - 1):
-                    swap = []
-                    for j, (src, tgt) in enumerate(ends):
-                        if obj in (src, tgt):
-                            positions = list(range(len(on_objects[tgt])))
-                            values = list(range(len(on_objects[src])))
-                            if tgt == obj:
-                                positions[k], positions[k + 1] = k + 1, k
-                            if src == obj:
-                                values[k], values[k + 1] = k + 1, k
-                            swap.append((j, tuple(positions), tuple(values)))
-                    swaps.append(swap)
-            verdict_of: dict[tuple, bool] = {}
-            for functor in functors:
-                key = tuple(functor.act(label).images for label in gens)
-                reflexive = verdict_of.get(key)
-                if reflexive is None:
-                    reflexive = is_natural_iso(unit(functor, b))
-                    verdict_of.update(dict.fromkeys(_isomorphism_class(key, swaps), reflexive))
-                verdicts.append(ReflexiveVerdict(functor, _describe(category, functor, non_identity), reflexive))
+        # The contravariant action of u: X -> Y sends F(Y) to F(X).
+        choices = [itertools.product(range(len(on_objects[src])), repeat=len(on_objects[tgt])) for src, tgt in ends]
+        functors = []
+        for picks in itertools.product(*choices):
+            b.charge()
+            functor = from_generators(category, CONTRAVARIANT, on_objects, picks)
+            if functor is not None:
+                functors.append(functor)
+        functors.sort(key=lambda functor: tuple(functor.act(label).images for label in non_identity))
+        swaps = []
+        for obj, n in zip(category.objects, sizes):
+            for k in range(n - 1):
+                swap = []
+                for j, (src, tgt) in enumerate(ends):
+                    if obj in (src, tgt):
+                        positions = list(range(len(on_objects[tgt])))
+                        values = list(range(len(on_objects[src])))
+                        if tgt == obj:
+                            positions[k], positions[k + 1] = k + 1, k
+                        if src == obj:
+                            values[k], values[k + 1] = k + 1, k
+                        swap.append((j, tuple(positions), tuple(values)))
+                swaps.append(swap)
+        verdict_of: dict[tuple, bool] = {}
+        for functor in functors:
+            key = tuple(functor.act(label).images for label in gens)
+            reflexive = verdict_of.get(key)
+            if reflexive is None:
+                reflexive = is_natural_iso(unit(functor, b))
+                verdict_of.update(dict.fromkeys(_isomorphism_class(key, swaps), reflexive))
+            verdicts.append(ReflexiveVerdict(functor, _describe(category, functor, non_identity), reflexive))
     return verdicts

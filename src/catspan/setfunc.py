@@ -13,9 +13,10 @@ its label view ``mapping`` only when asked; a transformation is its flat
 slot tuple in the layout its source functor decides (``first``), and its
 ``components`` are a view built on read. Outside input is checked where
 it enters (``SetFunction(dom, cod, mapping)``, ``validate_functor``,
-``make_transformation``); composites and search results, correct by
-construction, skip that re-check. Representables are built once per
-category and memoised on it.
+``make_transformation``). The library's own functors are built by
+``from_generators``, which checks only the relations; composites and
+search results, correct by construction, skip the check. Representables
+are built once per category and memoised on it.
 
 A copresheaf on C is a presheaf on C^op: ``dual`` reads the same value
 table over ``opposite(C)`` with the other variance, and the copresheaf
@@ -25,6 +26,7 @@ side is derived through it, z_C(X) = y_{C^op}(X).
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain
 from operator import add, itemgetter
@@ -145,33 +147,12 @@ def identity_function(carrier: FinSet) -> SetFunction:
     return SetFunction._trusted(carrier, carrier, tuple(range(len(carrier))))
 
 
-def compose_functions(second: SetFunction, first: SetFunction) -> SetFunction:
-    if first.cod != second.dom:
-        raise ValueError("functions not composable")
-    return SetFunction._trusted(first.dom, second.cod, _gather(second.images, first.images))
-
-
 class SetValuedFunctor(Frozen):
     """A functor from a finite category into finite sets: a value set for
     each object and an action for each morphism. Unslotted: the cached slot
     layout ``first`` lives in the instance dict."""
 
     _fields = ("base", "variance", "on_objects", "on_morphisms")
-
-    # This constructor and NatTransformation's are written out: a functor is
-    # built per scan candidate and a transformation per search solution, and
-    # there Frozen's generic constructor measured slower.
-    def __init__(
-        self,
-        base: FinCategory,
-        variance: str,
-        on_objects: dict[str, FinSet],
-        on_morphisms: dict[str, SetFunction],
-    ):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "on_objects", on_objects)
-        object.__setattr__(self, "on_morphisms", on_morphisms)
 
     def at(self, obj: str) -> FinSet:
         return self.on_objects[obj]
@@ -209,10 +190,10 @@ def validate_functor(
     on_objects: dict,
     on_morphisms: dict,
 ) -> SetValuedFunctor:
-    """Build a functor after exhaustively checking the functor laws.
+    """Build a functor from outside input, checking every functor law.
 
     ``on_objects`` values may be FinSets or plain label sequences, and
-    ``on_morphisms`` values FinSet functions or plain mapping dicts.
+    ``on_morphisms`` values are mapping dicts from labels to labels.
     Identity actions may be omitted; they are filled in as identities.
     Raises FunctorLawError with a witness morphism on the first law failure.
     """
@@ -238,16 +219,10 @@ def validate_functor(
                 morphisms[m.label] = identity_function(dom)
                 continue
             raise StructuralError(f"no action declared for morphism {m.label!r}")
-        raw = on_morphisms[m.label]
-        if isinstance(raw, SetFunction):
-            if raw.dom != dom or raw.cod != cod:
-                raise FunctorLawError("typing", (m.label,), f"action endpoints do not match value sets of {dom_obj!r} -> {cod_obj!r}")
-            morphisms[m.label] = raw
-        else:
-            try:
-                morphisms[m.label] = SetFunction(dom, cod, dict(raw))
-            except ValueError as exc:
-                raise FunctorLawError("typing", (m.label,), str(exc)) from None
+        try:
+            morphisms[m.label] = SetFunction(dom, cod, dict(on_morphisms[m.label]))
+        except ValueError as exc:
+            raise FunctorLawError("typing", (m.label,), str(exc)) from None
     for label in on_morphisms:
         if label not in morphisms:
             raise StructuralError(f"action declared for undeclared morphism {label!r}")
@@ -275,6 +250,8 @@ class NatTransformation(Frozen):
 
     __slots__ = _fields = ("source", "target", "slots")
 
+    # Written out: a transformation is built per search solution, and there
+    # Frozen's generic constructor measured slower.
     def __init__(self, source: SetValuedFunctor, target: SetValuedFunctor, slots: tuple[int, ...]):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -492,14 +469,62 @@ def _per_category(build):
 
 
 @_per_category
+def _relations(category: FinCategory) -> tuple[tuple[str, str, str], ...]:
+    """The table entries (g, f) -> r, as (g, f, r), with g and f not
+    identities and (r, g, f) not a derivation, such as g^n = id in Z_n."""
+    derivations = set(generators(category)[1])
+    return tuple(
+        (g, f, r)
+        for (g, f), r in category.table.items()
+        if not (category.is_identity(g) or category.is_identity(f) or (r, g, f) in derivations)
+    )
+
+
+def from_generators(
+    base: FinCategory,
+    variance: str,
+    on_objects: dict[str, FinSet],
+    images: Sequence[tuple[int, ...]],
+) -> SetValuedFunctor | None:
+    """The functor whose i-th generator (``generators(base)[0]``) acts by
+    ``images[i]``, codomain positions as in ``SetFunction.images``, or None.
+
+    Identities act as identities and every other morphism by the composite
+    along its derivation, so only the relations can fail; None when one
+    does. The library's own functors are built here, with images correct
+    by construction; outside input goes through ``validate_functor``.
+    """
+    gens, derivations = generators(base)
+    covariant = variance == COVARIANT
+    actions = dict(zip(gens, images))
+    for obj in base.objects:
+        actions[base.identity[obj]] = tuple(range(len(on_objects[obj])))
+
+    def composite(g: str, f: str) -> tuple[int, ...]:
+        return _gather(actions[g], actions[f]) if covariant else _gather(actions[f], actions[g])
+
+    for r, g, f in derivations:
+        actions[r] = composite(g, f)
+    for g, f, r in _relations(base):
+        if actions[r] != composite(g, f):
+            return None
+    on_morphisms = {}
+    for m in base.morphisms:
+        dom, cod = (m.src, m.tgt) if covariant else (m.tgt, m.src)
+        on_morphisms[m.label] = SetFunction._trusted(on_objects[dom], on_objects[cod], actions[m.label])
+    return SetValuedFunctor(base, variance, on_objects, on_morphisms)
+
+
+@_per_category
 def yoneda(category: FinCategory, obj: str) -> SetValuedFunctor:
     """The representable presheaf of morphisms into ``obj``."""
     on_objects = {a: FinSet(tuple(category.hom_set(a, obj))) for a in category.objects}
-    on_morphisms = {}
-    for m in category.morphisms:
+    images = []
+    for m in map(category.morphism, generators(category)[0]):
         # contravariant: hom(tgt(u), obj) -> hom(src(u), obj), h -> h . u
-        on_morphisms[m.label] = {h: category.compose(h, m.label) for h in on_objects[m.tgt].elements}
-    return validate_functor(category, CONTRAVARIANT, on_objects, on_morphisms)
+        position = on_objects[m.src].index
+        images.append(tuple(position[category.table[(h, m.label)]] for h in on_objects[m.tgt]))
+    return from_generators(category, CONTRAVARIANT, on_objects, images)
 
 
 @_per_category
@@ -607,13 +632,11 @@ def pointwise_sum(left: SetValuedFunctor, right: SetValuedFunctor) -> SetValuedF
         )
         for obj in base.objects
     }
-    on_morphisms = {}
-    for m in base.morphisms:
-        lf, rf = left.act(m.label), right.act(m.label)
-        mapping = {f"L.{e}": f"L.{img}" for e, img in lf.mapping.items()}
-        mapping.update({f"R.{e}": f"R.{img}" for e, img in rf.mapping.items()})
-        on_morphisms[m.label] = mapping
-    return validate_functor(base, left.variance, on_objects, on_morphisms)
+    images = []
+    for label in generators(base)[0]:
+        lf, rf = left.act(label), right.act(label)
+        images.append(lf.images + tuple(p + len(lf.cod) for p in rf.images))
+    return from_generators(base, left.variance, on_objects, images)
 
 
 def iso_check(

@@ -6,8 +6,9 @@ several objects and hom-sets of more than one morphism.
 The strategies build the composition tables directly and import nothing
 from the library's search code. Morphisms are declared in a random order,
 so a composite is often declared before its factors. The properties check
-``generators`` against a composition closure computed here, and
-``enumerate_nat`` and ``reflexive_scan`` against the unpruned oracles.
+``generators`` against a composition closure computed here,
+``from_generators`` against ``validate_functor``, and ``enumerate_nat``
+and ``reflexive_scan`` against the unpruned oracles.
 Over representables and their sums they check the Yoneda count, the
 adjunction's transpose, the reflexivity of representables and the
 triangle identity of the conjugation adjunction; over scanned functors,
@@ -22,8 +23,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from catspan import (
     CONTRAVARIANT,
+    COVARIANT,
     isbell,
     FinCategory,
+    FinSet,
+    FunctorLawError,
     Morphism,
     adjunction_transpose,
     component_signature,
@@ -47,6 +51,7 @@ from catspan import (
     yoneda,
     yoneda_lemma_bijection,
 )
+from catspan.setfunc import from_generators
 
 from oracles import (
     brute_force_nat,
@@ -199,6 +204,42 @@ def test_generators_are_an_irredundant_generating_set(category):
         assert category.table[(g, f)] == r
         earlier.add(r)
     assert generators(category) is generators(category)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(categories, st.sampled_from([CONTRAVARIANT, COVARIANT]), st.data())
+def test_from_generators_accepts_what_validate_functor_accepts(category, variance, data):
+    """Random actions of the generators on value sets of at most three
+    elements, with every other action composed here along its derivation:
+    from_generators refuses them exactly when validate_functor rejects that
+    table given as mappings, and otherwise both build the same functor."""
+    gens, derivations = generators(category)
+    size = {obj: data.draw(st.sampled_from((2, 3, 1, 0))) for obj in category.objects}
+    ends = [(m.src, m.tgt) if variance == COVARIANT else (m.tgt, m.src) for m in map(category.morphism, gens)]
+    while any(size[dom] and not size[cod] for dom, cod in ends):  # no map into an empty set
+        for dom, cod in ends:
+            if size[dom] and not size[cod]:
+                size[cod] = 1
+    images = [
+        tuple(data.draw(st.lists(st.integers(0, max(size[cod] - 1, 0)), min_size=size[dom], max_size=size[dom])))
+        for dom, cod in ends
+    ]
+    actions = dict(zip(gens, images))
+    for r, g, f in derivations:
+        first, then = (f, g) if variance == COVARIANT else (g, f)
+        actions[r] = tuple(actions[then][p] for p in actions[first])
+    elements = {obj: [f"x{k}" for k in range(n)] for obj, n in size.items()}
+    mappings = {}
+    for label, action in actions.items():
+        m = category.morphism(label)
+        dom, cod = (m.src, m.tgt) if variance == COVARIANT else (m.tgt, m.src)
+        mappings[label] = {elements[dom][k]: elements[cod][p] for k, p in enumerate(action)}
+    try:
+        checked = validate_functor(category, variance, elements, mappings)
+    except FunctorLawError:
+        checked = None
+    on_objects = {obj: FinSet(tuple(e)) for obj, e in elements.items()}
+    assert from_generators(category, variance, on_objects, images) == checked
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

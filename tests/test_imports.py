@@ -134,7 +134,7 @@ print(sorted(name for module in ("core", "fincat", "setfunc") for name in catspa
 """
     names = [name for module in ("core", "fincat", "setfunc") for name in catspan._EXPORTS[module]]
     assert run_python(script).strip() == str(sorted(names))
-    assert len(names) == 42
+    assert len(names) == 41
 
 
 def test_tightspan_names_resolve_on_first_use():

@@ -19,6 +19,7 @@ from catspan import (
     is_natural_iso,
     iso_check,
     naturality_witness,
+    pointwise_sum,
     reflexive_scan,
     unit,
     validate_functor,
@@ -26,6 +27,7 @@ from catspan import (
 )
 
 from catspan import isbell
+from catspan.corpus import load_corpus_category
 from catspan.fileformat import load_functor, load_lawful_category
 from catspan.setfunc import NatTransformation, SetFunction
 
@@ -378,3 +380,20 @@ def test_scan_verdicts_match_direct_comparison(categories, name, size, reflexive
     for v in verdicts:
         assert v.reflexive == is_natural_iso(unit(v.functor)), v.description
     assert sum(v.reflexive for v in verdicts) == reflexive
+
+
+def test_library_functors_are_not_revalidated(monkeypatch):
+    """validate_functor is for outside input only. With it made to raise,
+    the scan, representables, sums and the unit still work over freshly
+    loaded categories, whose representables are not memoised yet."""
+    loaded = two_representables(3)
+
+    def refuse(*args):
+        raise AssertionError("validate_functor called on a functor the library built")
+
+    monkeypatch.setattr("catspan.setfunc.validate_functor", refuse)
+    assert sum(v.reflexive for v in reflexive_scan(load_corpus_category("square"), 2)) == 4
+    y = yoneda(load_lawful_category(GOLDEN_INPUTS / "z3.category.json"), "*")
+    yy = pointwise_sum(y, y)
+    assert yy == loaded
+    assert unit(yy).slots == unit(loaded).slots
