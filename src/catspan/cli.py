@@ -45,8 +45,8 @@ from .fileformat import (
 # that a command loads only those: ``.fincat`` for the category commands,
 # ``.setfunc`` besides for the functor commands, ``.isbell`` besides for the
 # four conjugation commands, and ``.tightspan`` for the metric commands
-# alone. ``.tightspan`` imports numpy only to sample and on metrics of
-# NUMPY_FROM points or more.
+# alone. ``.tightspan`` imports numpy only on metrics of NUMPY_FROM points
+# or more and for sampling jobs of SAMPLE_NUMPY_WORK or more.
 
 
 class InputError(Exception):
@@ -549,9 +549,10 @@ def run() -> None:
     catspan.cli``: ``main()``, then flush stdout and stderr and leave with
     ``os._exit``. That skips the interpreter's teardown, which frees every
     module and object one by one: on a 2-core VM about 10 ms after a
-    category command and 30 ms once numpy is loaded (by sampling, or by a
-    metric of ``tightspan.NUMPY_FROM`` points or more), against commands
-    that often compute for less. A failed flush exits 120, as the interpreter's
+    category command and 30 ms once numpy is loaded (by a metric of
+    ``tightspan.NUMPY_FROM`` points or more, or a sampling job of
+    ``tightspan.SAMPLE_NUMPY_WORK`` or more), against commands that often
+    compute for less. A failed flush exits 120, as the interpreter's
     own shutdown does. ``main`` returns its exit code instead, for callers
     in the same process."""
     code = main()

@@ -18,12 +18,15 @@ runs on them in plain Python, except in two kernels once a space has
 NUMPY_FROM points: the triangle check of validate_metric, one n x n numpy
 comparison per row, and the averaging rounds of extremal_project. Below
 that size importing numpy costs more than the work, so a command on a
-small metric never imports it. sample_tight_span always does, since
-numpy's default_rng defines a seed's samples, and projects its starts with
-the numpy kernel. Both kernels of a pair round every sum in the same order
-and so return the same bits. Projection checks admissibility once on
-entry, then follows only the O(n^2) gap per round, since averaging an
-admissible function with its conjugate stays admissible.
+small metric never imports it; the triangle check also runs in numpy
+wherever numpy is loaded already. A seed's samples are those that numpy's
+default generator (PCG64 seeded by SeedSequence) gives for it, drawn bit
+for bit by this module's own stream, so sample_tight_span imports numpy
+only to project a job of SAMPLE_NUMPY_WORK or more, and numpy's random
+module never. Both kernels of a pair round every sum in the same order and
+so return the same bits. Projection checks admissibility once on entry,
+then follows only the O(n^2) gap per round, since averaging an admissible
+function with its conjugate stays admissible.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import repeat
-from operator import sub
+from operator import add, index, sub
 
 from .core import DEFAULT_TOL, Frozen  # DEFAULT_TOL is re-exported
 
@@ -53,6 +56,13 @@ MAX_DISTANCE = sys.float_info.max / 8
 # 50). One projection alone would pay for the import only near 200 points,
 # but from this size on validation has imported numpy already.
 NUMPY_FROM = 100
+# The sampling work count * n * n from which sample_tight_span projects in
+# numpy, below NUMPY_FROM points. In a fresh process the Python rounds cost
+# as much as importing numpy and running its rounds near this work (medians
+# of 6 on a 2-core VM: 99 ms against 88 ms for 14 samples of 50 points, 159
+# ms against 174 ms for 80 samples of 20); smaller spaces favour Python
+# longer, since each numpy round has a fixed cost.
+SAMPLE_NUMPY_WORK = 35_000
 
 
 class MetricError(ValueError):
@@ -189,7 +199,7 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     if len(d) != n or any(len(row) != n for row in d):
         raise ValueError(f"distance matrix must be {n}x{n}")
 
-    scale = max((abs(x) for row in d for x in row if abs(x) <= MAX_DISTANCE), default=0.0)
+    scale = max(map(_largest_entry, d), default=0.0)
     tol = max(tol, TOL_SPACINGS * math.ulp(scale))
     # Built before the axioms are checked, so that repeated labels fail first.
     space = FiniteMetricSpace(labels, d, tol)
@@ -216,11 +226,24 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
                 violations.append(("asymmetry", (labels[i], labels[j])))
             if row[j] <= tol:
                 violations.append(("zero-distance", (labels[i], labels[j])))
-    triangles = _triangle_numpy(d, tol) if n >= NUMPY_FROM else _triangle(d, tol)
+    # Where numpy is loaded already, its check is the cheaper at any size.
+    triangles = _triangle_numpy(d, tol) if n >= NUMPY_FROM or "numpy" in sys.modules else _triangle(d, tol)
     violations += [("triangle", (labels[i], labels[j], labels[k])) for i, j, k in triangles]
     if violations:
         raise MetricError(violations)
     return space
+
+
+def _largest_entry(row) -> float:
+    """max(abs(x) for x in row if abs(x) <= MAX_DISTANCE), default 0.0, read
+    off the row's max and min when both are within MAX_DISTANCE. A NaN
+    compares false, so max and min skip it, unless it comes first and is
+    returned, which fails the bounds; rows that fail them are filtered
+    entry by entry."""
+    low, high = min(row, default=0.0), max(row, default=0.0)
+    if -MAX_DISTANCE <= low and high <= MAX_DISTANCE:
+        return max(high, -low)
+    return max((abs(x) for x in row if abs(x) <= MAX_DISTANCE), default=0.0)
 
 
 def _triangle(d, tol: float) -> list[tuple[int, int, int]]:
@@ -382,14 +405,13 @@ def geodesic_witness(f: DistanceFunction, point: str) -> str:
     space = f.space
     i = space.index(point)
     fx = f.values[i]
+    witness_tol = max(WITNESS_TOL, space.tol)
     # f(x) - (d(x, x') - f(x')), rounded as the gap of extremality_defect
     # is, so that a gap within tolerance leaves a residual within it too.
-    residuals = [abs(fx - (dxy - fy)) for dxy, fy in zip(space.dist[i], f.values)]
-    witness_tol = max(WITNESS_TOL, space.tol)
-    for partner, r in zip(space.points, residuals):
-        if r <= witness_tol:
+    for partner, dxy, fy in zip(space.points, space.dist[i], f.values):
+        if abs(fx - (dxy - fy)) <= witness_tol:
             return partner
-    raise NoWitnessError(point, min(residuals))
+    raise NoWitnessError(point, min([abs(fx - (dxy - fy)) for dxy, fy in zip(space.dist[i], f.values)]))
 
 
 class TripodResult(Frozen):
@@ -412,27 +434,151 @@ def tripod(space: FiniteMetricSpace) -> TripodResult:
     return TripodResult(legs, DistanceFunction(space, legs))
 
 
+# The draws of numpy's default generator for a seed that sampling makes, in
+# plain Python: SeedSequence's hash of the seed into PCG64's 128-bit state and
+# stream, PCG64's steps (a 128-bit LCG with the XSL-RR output; O'Neill,
+# HMC-CS-2014-0905), and Generator.integers and Generator.uniform on top.
+_MASK32 = (1 << 32) - 1
+_MASK53 = (1 << 53) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+# x * _DOUBLED is x << 64 | x for a 64-bit x, so its bits r to r + 63 are x
+# rotated right by r.
+_DOUBLED = (1 << 64) + 1
+
+
+def _seed_sequence(seed: int) -> tuple[int, int]:
+    """PCG64's initial state and stream from a nonnegative int seed, as
+    numpy's SeedSequence(seed).generate_state(4, uint64) gives them:
+    the seed's 32-bit words hashed into a pool of four, which is hashed
+    out into eight words, read as four little-endian 64-bit words."""
+    seed = index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    entropy = [seed & _MASK32]
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    hash_const = 0x43B0_D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E_8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01_F9DD * x - 0x4973_F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    words = []
+    hash_const = 0x8B51_F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F3_8DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    s0, s1, i0, i1 = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+    return s0 << 64 | s1, i0 << 64 | i1
+
+
+class _Stream:
+    """The draws of numpy's default generator for ``seed``, bit for bit,
+    as far as sampling uses them. ``upper`` holds the high half of a 64-bit
+    draw that a 32-bit draw left over, as PCG64 keeps it for the next
+    32-bit draw."""
+
+    __slots__ = ("state", "inc", "upper")
+
+    def __init__(self, seed: int):
+        initstate, initseq = _seed_sequence(seed)
+        self.inc = (initseq << 1 | 1) & _MASK128
+        # From state 0: one step, which gives inc, add initstate, one step.
+        self.state = ((self.inc + initstate) * _PCG_MULTIPLIER + self.inc) & _MASK128
+        self.upper = None
+
+    def next64(self) -> int:
+        s = self.state = (self.state * _PCG_MULTIPLIER + self.inc) & _MASK128
+        return ((s >> 64 ^ s) & _MASK64) * _DOUBLED >> (s >> 122) & _MASK64
+
+    def next32(self) -> int:
+        if self.upper is not None:
+            x, self.upper = self.upper, None
+            return x
+        x = self.next64()
+        self.upper = x >> 32
+        return x & _MASK32
+
+    def integers(self, n: int) -> int:
+        """Generator.integers(n) for 1 <= n <= 2**63: Lemire's bounded
+        method on 32-bit draws while n - 1 fits in 32 bits, on 64-bit draws
+        beyond; a plain 32-bit draw for n = 2**32, and no draw for n = 1."""
+        if n == 1:
+            return 0
+        if n == 1 << 32:
+            return self.next32()
+        bits, mask, draw = (32, _MASK32, self.next32) if n < 1 << 32 else (64, _MASK64, self.next64)
+        m = draw() * n
+        if m & mask < n:
+            threshold = (1 << bits) % n
+            while m & mask < threshold:
+                m = draw() * n
+        return m >> bits
+
+    def uniform(self, high: float, size: int) -> list[float]:
+        """``size`` draws of Generator.uniform(0.0, high) for a finite
+        high > 0, each 0.0 + high * ((next64 >> 11) * 2**-53), with
+        next64 written out in the loop. Adding 0.0 to the nonnegative
+        product changes no bit."""
+        s, inc, draws = self.state, self.inc, []
+        for _ in range(size):
+            s = (s * _PCG_MULTIPLIER + inc) & _MASK128
+            top = ((s >> 64 ^ s) & _MASK64) * _DOUBLED >> (s >> 122) + 11 & _MASK53
+            draws.append(high * (top * 2.0**-53))
+        self.state = s
+        return draws
+
+
 def sample_tight_span(space: FiniteMetricSpace, count: int, seed: int) -> list[DistanceFunction]:
     """Deterministically seeded extremal samples: an embedded point plus a
     nonnegative per-coordinate perturbation (admissible by construction),
-    projected onto the extremal set by the numpy kernel. The samples of a
-    seed are numpy's default_rng draws, so this always imports numpy."""
+    projected onto the extremal set. A seed's samples are those of numpy's
+    default generator for it, drawn by _Stream without numpy. The starts are
+    projected in Python below NUMPY_FROM points while count * n * n is below
+    SAMPLE_NUMPY_WORK, and by the numpy kernel otherwise; the two return
+    the same bits, so numpy is imported only for jobs that pay for it."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
-    if len(space.points) == 0:
-        raise ValueError("cannot sample from an empty space")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    diameter = space.diameter
-    d = np.array(space.dist, dtype=float)
     n = len(space.points)
+    if n == 0:
+        raise ValueError("cannot sample from an empty space")
+    stream = _Stream(seed)
+    if n < NUMPY_FROM and count * n * n < SAMPLE_NUMPY_WORK:
+        project = _project
+    else:
+        import numpy as np
+
+        d = np.array(space.dist, dtype=float)
+
+        def project(start):
+            return _project_numpy(start, d)
+
+    diameter = space.diameter
     samples = []
     for _ in range(count):
-        anchor = int(rng.integers(n))
-        perturbation = rng.uniform(0.0, diameter, size=n) if diameter > 0 else np.zeros(n)
-        start = DistanceFunction(space, (d[anchor] + perturbation).tolist())
-        samples.append(_project_numpy(start, d))
+        row = space.dist[stream.integers(n)]
+        # With a diameter of 0 nothing is drawn; adding 0.0 still makes -0.0 into 0.0.
+        perturbation = stream.uniform(diameter, n) if diameter > 0 else repeat(0.0)
+        samples.append(project(DistanceFunction(space, map(add, row, perturbation))))
     return samples

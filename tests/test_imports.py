@@ -1,6 +1,7 @@
-"""Start-up: numpy is imported only where the tight span samples or works
-on a metric of ``tightspan.NUMPY_FROM`` points or more, the conjugation
-module only by the conjugation subcommands, the category modules by no
+"""Start-up: numpy is imported only where the tight span works on a metric
+of ``tightspan.NUMPY_FROM`` points or more or samples with a work of
+``tightspan.SAMPLE_NUMPY_WORK`` or more, the conjugation module only by
+the conjugation subcommands, the category modules by no
 metric subcommand, and no subcommand imports ``dataclasses`` or, apart
 from what numpy loads, ``inspect``.
 
@@ -22,7 +23,7 @@ import pytest
 import catspan
 import catspan.cli
 from catspan.corpus import fixture_path
-from catspan.tightspan import NUMPY_FROM
+from catspan.tightspan import NUMPY_FROM, SAMPLE_NUMPY_WORK
 from test_acceptance import CLI_SUITE
 
 SRC = Path(catspan.__file__).resolve().parents[1]
@@ -40,8 +41,8 @@ SMALL_METRIC_COMMANDS = [
     ["project", "triangle345.metric.json", "3", "3", "3"],
     ["geodesic-check", "triangle345.metric.json", "1", "2", "3"],
 ]
-# Sampling draws from numpy's default_rng: sample-span, and geodesic-check
-# given no function values.
+# Sampling: sample-span, and geodesic-check given no function values. On
+# the corpus the jobs are small, so they draw and project without numpy.
 SAMPLING_COMMANDS = [
     argv for argv in CLI_SUITE
     if argv[0] == "sample-span" or argv[0] == "geodesic-check" and argv[2] == "--samples"
@@ -59,10 +60,18 @@ def run_python(script: str, *args: str) -> str:
     return done.stdout
 
 
+def line_metric(tmp_path, n: int) -> str:
+    """The metric of n points on a line, one apart, written to a file."""
+    d = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
+    path = tmp_path / f"line{n}.metric.json"
+    path.write_text(json.dumps({"format": 1, "kind": "metric", "points": [f"p{i}" for i in range(n)], "d": d}))
+    return str(path)
+
+
 def test_category_commands_do_not_import_numpy(tmp_path):
-    """Nor do the metric commands on small metrics, which also leave out
-    ``inspect``, in one interpreter; validating a NUMPY_FROM-point metric
-    then loads numpy."""
+    """Nor do the metric commands on small metrics, sampling included, which
+    also leave out ``inspect``, in one interpreter; validating a
+    NUMPY_FROM-point metric then loads numpy."""
     script = """
 import contextlib, io, json, sys
 import catspan.cli
@@ -73,22 +82,20 @@ for argv in json.loads(sys.argv[1]):
     seen.append([" ".join(argv), code, "numpy" in sys.modules, "inspect" in sys.modules])
 print(json.dumps(seen))
 """
-    line = [[float(abs(i - j)) for j in range(NUMPY_FROM)] for i in range(NUMPY_FROM)]
-    large = tmp_path / "line.metric.json"
-    large.write_text(json.dumps({"format": 1, "kind": "metric", "points": [f"p{i}" for i in range(NUMPY_FROM)], "d": line}))
-    large_metric = ["metric-validate", str(large)]
-    commands = [*CATEGORY_COMMANDS, *SMALL_METRIC_COMMANDS, large_metric]
+    large_metric = ["metric-validate", line_metric(tmp_path, NUMPY_FROM)]
+    commands = [*CATEGORY_COMMANDS, *SMALL_METRIC_COMMANDS, *SAMPLING_COMMANDS, large_metric]
     seen = json.loads(run_python(script, json.dumps(commands)))
     assert {argv[0] for argv in CATEGORY_COMMANDS} == set(catspan.cli.HANDLERS) - METRIC_SUBCOMMANDS
-    assert {argv[0] for argv in SMALL_METRIC_COMMANDS} == METRIC_SUBCOMMANDS - {"sample-span"}
+    assert {argv[0] for argv in SMALL_METRIC_COMMANDS + SAMPLING_COMMANDS} == METRIC_SUBCOMMANDS
     assert [code for _, code, _, _ in seen] == [0] * len(seen)
     assert [command for command, _, numpy, _ in seen if numpy] == [" ".join(large_metric)]
     assert [command for command, _, _, inspect in seen[:-1] if inspect] == []
 
 
-def test_each_command_imports_only_what_it_runs():
-    """Every command of the suite in its own interpreter. Only the sampling
-    commands load numpy, which itself imports ``inspect``."""
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    """Every command of the suite in its own interpreter, none of which
+    loads numpy, which itself imports ``inspect``; then a sampling job
+    large enough to project in numpy, which loads it but not numpy.random."""
     script = """
 import contextlib, io, json, sys
 libraries = json.loads(sys.argv[1])
@@ -96,18 +103,22 @@ import catspan.cli
 loaded_by_import = [name for name in libraries if name in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = catspan.cli.main(sys.argv[2:] + ["--format", "structured"])
-names = ("dataclasses", "inspect", "numpy", *libraries)
+names = ("dataclasses", "inspect", "numpy", "numpy.random", *libraries)
 print(json.dumps([code, loaded_by_import, [name for name in names if name in sys.modules]]))
 """
     libraries = json.dumps(LIBRARY_MODULES)
+    large_sampling = ["sample-span", line_metric(tmp_path, 50), "--count", "500"]
+    assert 500 * 50 * 50 >= SAMPLE_NUMPY_WORK
+    commands = [*CLI_SUITE, large_sampling]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        seen = list(pool.map(lambda argv: json.loads(run_python(script, libraries, *argv)), CLI_SUITE))
-    for argv, (code, loaded_by_import, loaded) in zip(CLI_SUITE, seen):
+        seen = list(pool.map(lambda argv: json.loads(run_python(script, libraries, *argv)), commands))
+    for argv, (code, loaded_by_import, loaded) in zip(commands, seen):
         assert code == 0, argv
         assert loaded_by_import == [], argv
         assert "dataclasses" not in loaded, argv
-        assert ("numpy" in loaded) == (argv in SAMPLING_COMMANDS), argv
-        assert "inspect" not in loaded or argv in SAMPLING_COMMANDS, argv
+        assert ("numpy" in loaded) == (argv is large_sampling), argv
+        assert "numpy.random" not in loaded, argv
+        assert "inspect" not in loaded or argv is large_sampling, argv
         assert ("catspan.isbell" in loaded) == (argv[0] in CONJUGATION_SUBCOMMANDS), argv
         assert ("catspan.tightspan" in loaded) == (argv[0] in METRIC_SUBCOMMANDS), argv
         assert ("catspan.fincat" in loaded) == (argv[0] not in METRIC_SUBCOMMANDS), argv
@@ -115,6 +126,7 @@ print(json.dumps([code, loaded_by_import, [name for name in names if name in sys
         assert ("catspan.setfunc" in loaded) == setfunc, argv
     commands = {argv[0] for argv in CLI_SUITE}
     assert {argv[0] for argv in SAMPLING_COMMANDS} == {"sample-span", "geodesic-check"}
+    assert len(SAMPLING_COMMANDS) == 3
     assert CONJUGATION_SUBCOMMANDS | METRIC_SUBCOMMANDS | CATEGORY_ONLY_SUBCOMMANDS <= commands
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -122,6 +123,37 @@ BORDERLINE_TRIANGLE = np.array([[0.0, 0.1, 0.1 + 0.2 + TOL], [0.1, 0.0, 0.2], [0
 def test_violations_match_loop_oracle(d):
     labels = [f"p{i}" for i in range(len(d))]
     assert _violations(labels, d) == brute_force_metric_violations(labels, d, TOL)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw_matrices(), st.sampled_from([0, 100, 300]), st.sampled_from([TOL, 0.0]))
+def test_tolerance_is_the_entrywise_scale(d, exponent, tol):
+    # The tolerance as validate_metric computed it entry by entry, written
+    # out here; scaled up to 1e300, entries pass MAX_DISTANCE and overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _rows(d * 10.0**exponent)
+    scale = max((abs(x) for row in rows for x in row if abs(x) <= MAX_DISTANCE), default=0.0)
+    expected = max(tol, TOL_SPACINGS * math.ulp(scale))
+    found = max(map(tightspan._largest_entry, rows), default=0.0)
+    assert found == scale
+    try:
+        space = validate_metric([f"p{i}" for i in range(len(rows))], rows, tol)
+    except MetricError:
+        return
+    assert space.tol.hex() == expected.hex()
+
+
+def test_triangle_kernel_follows_what_is_loaded(monkeypatch):
+    # numpy's triangle check from NUMPY_FROM points on, or at any size once
+    # numpy is loaded; the Python check otherwise.
+    used = []
+    for name in ("_triangle", "_triangle_numpy"):
+        monkeypatch.setattr(tightspan, name, lambda d, tol, kernel=getattr(tightspan, name): used.append(kernel.__name__) or kernel(d, tol))
+    line = [[float(abs(i - j)) for j in range(5)] for i in range(5)]
+    validate_metric([f"p{i}" for i in range(5)], line)
+    monkeypatch.delitem(sys.modules, "numpy")
+    validate_metric([f"p{i}" for i in range(5)], line)
+    assert used == ["_triangle_numpy", "_triangle"]
 
 
 def test_violations_match_loop_oracle_on_planted_l1_cloud():
@@ -440,6 +472,93 @@ def test_projection_nonexpansive_on_samples(metrics):
         )
 
 
+# ---------------------------------------------------------- the stream
+# Sampling draws numpy.random.default_rng(seed)'s values from tightspan's
+# own PCG64 stream, which must match numpy's bit for bit.
+
+SEEDS = st.one_of(
+    st.integers(0, 2**16),
+    st.integers(0, 2**140),
+    st.sampled_from([2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**127, 2**128, 2**128 + 1, 2**200 + 11]),
+)
+# Bounds at the edges of Lemire's method: 1 draws nothing, 2**32 takes a
+# plain 32-bit draw, and from 2**32 + 1 on the draws are 64-bit.
+BOUNDS = st.one_of(
+    st.integers(1, 200),
+    st.sampled_from([1, 2, 3, 2**31 + 17, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63]),
+    st.integers(1, 2**63),
+)
+CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("integers"), BOUNDS),
+        st.tuples(st.just("uniform"), st.floats(5e-324, MAX_DISTANCE), st.integers(1, 60)),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(SEEDS, CALLS)
+@example(0, [("integers", 5), ("uniform", 2.5, 5), ("integers", 5), ("uniform", 2.5, 5)])
+def test_stream_matches_numpy_default_rng(seed, calls):
+    numpy_rng, stream = np.random.default_rng(seed), tightspan._Stream(seed)
+    for call in calls:
+        if call[0] == "integers":
+            assert stream.integers(call[1]) == int(numpy_rng.integers(call[1])), call
+        else:
+            _, high, size = call
+            expected = numpy_rng.uniform(0.0, high, size=size).tolist()
+            assert [x.hex() for x in stream.uniform(high, size)] == [x.hex() for x in expected], call
+
+
+def test_negative_seed_is_rejected(metrics):
+    with pytest.raises(ValueError):
+        sample_tight_span(metrics["two_point"], 1, seed=-1)
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+
+
+def _numpy_samples(space, count, seed):
+    """sample_tight_span's samples drawn by numpy's default_rng and
+    projected by the numpy kernel."""
+    rng = np.random.default_rng(seed)
+    d = np.array(space.dist, dtype=float)
+    n = len(space.points)
+    samples = []
+    for _ in range(count):
+        anchor = int(rng.integers(n))
+        perturbation = rng.uniform(0.0, space.diameter, size=n) if space.diameter > 0 else np.zeros(n)
+        samples.append(tightspan._project_numpy(DistanceFunction(space, (d[anchor] + perturbation).tolist()), d))
+    return samples
+
+
+@pytest.mark.parametrize("n, count", [(1, 3), (5, 3), (30, None), (NUMPY_FROM - 1, 1), (NUMPY_FROM, 1)])
+@pytest.mark.parametrize("seed", [0, 2**130 + 7], ids=["seed-0", "seed-2^130+7"])
+def test_samples_are_numpys_whichever_kernel_projects(monkeypatch, n, count, seed):
+    # At 30 points the counts fall just below and at SAMPLE_NUMPY_WORK.
+    space = _admissible_start(n, seed % 97).space
+    below = -(-tightspan.SAMPLE_NUMPY_WORK // (n * n)) - 1
+    counts = [count] if count else [below, below + 1]
+    expected = [[[v.hex() for v in f.values] for f in _numpy_samples(space, c, seed)] for c in counts]
+    kernels = []
+    for name in ("_project", "_project_numpy"):
+        monkeypatch.setattr(tightspan, name, lambda *args, kernel=getattr(tightspan, name): kernels.append(kernel.__name__) or kernel(*args))
+    for count, values in zip(counts, expected):
+        kernels.clear()
+        samples = sample_tight_span(space, count, seed)
+        numpy_kernel = n >= NUMPY_FROM or count * n * n >= tightspan.SAMPLE_NUMPY_WORK
+        assert set(kernels) == {"_project_numpy" if numpy_kernel else "_project"}
+        assert [[v.hex() for v in f.values] for f in samples] == values
+
+
+def test_one_point_samples_match_numpy():
+    # The diameter is 0, so nothing is drawn; the numpy sampler adds zeros,
+    # which makes a -0.0 on the diagonal into 0.0.
+    space = validate_metric(["a"], [[-0.0]])
+    expected = [[v.hex() for v in f.values] for f in _numpy_samples(space, 3, 5)]
+    assert [[v.hex() for v in f.values] for f in sample_tight_span(space, 3, 5)] == expected == [["0x0.0p+0"]] * 3
+
+
 # ---------------------------------------------------------- properties
 
 
@@ -599,6 +718,31 @@ def test_extremal_exactly_when_fixed_by_conjugation(data):
     for f in candidates:
         fixed = np.max(np.abs(np.subtract(conjugate_values(space, f.values), f.values))) <= space.tol
         assert (extremality_defect(f).defect <= space.tol) == fixed
+
+
+def _witness_oracle(f, i):
+    """The first partner whose residual is within tolerance, or the least
+    residual: every residual computed first."""
+    residuals = [abs(f.values[i] - (dxy - fy)) for dxy, fy in zip(f.space.dist[i], f.values)]
+    within = [p for p, r in zip(f.space.points, residuals) if r <= max(tightspan.WITNESS_TOL, f.space.tol)]
+    return ("witness", within[0]) if within else ("none", min(residuals).hex())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_witnesses_match_the_eager_oracle(data):
+    # Samples have a witness at every point; a drawn function mostly lacks
+    # some, and then the error carries the least residual.
+    space = data.draw(cloud_spaces())
+    candidates = sample_tight_span(space, 2, data.draw(st.integers(0, 2**16)))
+    candidates.append(DistanceFunction(space, _nonnegative_values(data.draw, space)))
+    for f in candidates:
+        for i, x in enumerate(space.points):
+            try:
+                found = ("witness", geodesic_witness(f, x))
+            except NoWitnessError as exc:
+                found = ("none", exc.residual.hex())
+            assert found == _witness_oracle(f, i)
 
 
 # ---------------------------------------------------------- both kernels
