@@ -46,7 +46,6 @@ _EXPORTS = {
         "coyoneda_on_morphism",
         "dual",
         "enumerate_nat",
-        "identity_function",
         "identity_nat",
         "is_natural_iso",
         "iso_check",

@@ -29,6 +29,7 @@ the rest and checks the relations, the only laws this leaves open.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .fincat import FinCategory, Frozen, generators
 from .setfunc import (
@@ -42,6 +43,7 @@ from .setfunc import (
     SetValuedFunctor,
     _composite,
     _offsets,
+    _shape,
     coyoneda,
     dual,
     enumerate_nat,
@@ -296,7 +298,9 @@ def reflexive_scan(
     category; ``from_generators`` derives every other action along its
     derivation, F(g . f) = F(f) . F(g), and keeps the candidate when it
     meets every relation of the composition table. Each candidate costs one
-    unit of budget. Value-set size vectors are swept in lexicographic order,
+    unit of budget, charged for a whole size vector before its candidates
+    are built, so the budget bounds the memory they take. Value-set size
+    vectors are swept in lexicographic order,
     and within one the functors are reported in lexicographic order of the
     actions of every non-identity morphism in declaration order, so the
     report order is deterministic.
@@ -316,40 +320,37 @@ def reflexive_scan(
     b = Budget.coerce(budget)
     gens = generators(category)[0]
     non_identity = [m.label for m in category.morphisms if not category.is_identity(m.label)]
-    ends = [(m.src, m.tgt) for m in map(category.morphism, gens)]
+    objects = category.objects
+    # The action of a generator runs from the value set at dom to the one at cod.
+    ends = [(objects.index(m.src), objects.index(m.tgt)) for m in map(_shape(category, CONTRAVARIANT).morphism, gens)]
     verdicts: list[ReflexiveVerdict] = []
 
-    for sizes in itertools.product(range(max_set_size + 1), repeat=len(category.objects)):
-        on_objects = {
-            obj: FinSet(tuple(f"x{k}" for k in range(n)))
-            for obj, n in zip(category.objects, sizes)
-        }
-        # The contravariant action of u: X -> Y sends F(Y) to F(X).
-        choices = [itertools.product(range(len(on_objects[src])), repeat=len(on_objects[tgt])) for src, tgt in ends]
-        functors = []
-        for picks in itertools.product(*choices):
-            b.charge()
-            functor = from_generators(category, CONTRAVARIANT, on_objects, picks)
-            if functor is not None:
-                functors.append(functor)
-        functors.sort(key=lambda functor: tuple(functor.act(label).images for label in non_identity))
+    for sizes in itertools.product(range(max_set_size + 1), repeat=len(objects)):
+        # Every candidate of the size vector is charged before any is built.
+        count = math.prod(sizes[cod] ** sizes[dom] for dom, cod in ends)
+        b.charge(count)
+        if not count:  # nothing to build, nor to relabel
+            continue
+        on_objects = {obj: FinSet(tuple(f"x{k}" for k in range(n))) for obj, n in zip(objects, sizes)}
+        choices = [itertools.product(range(sizes[cod]), repeat=sizes[dom]) for dom, cod in ends]
+        built = (from_generators(category, CONTRAVARIANT, on_objects, picks) for picks in itertools.product(*choices))
+        functors = sorted(filter(None, built), key=lambda f: tuple(f.actions[label] for label in non_identity))
         swaps = []
-        for obj, n in zip(category.objects, sizes):
+        for obj, n in enumerate(sizes):
             for k in range(n - 1):
                 swap = []
-                for j, (src, tgt) in enumerate(ends):
-                    if obj in (src, tgt):
-                        positions = list(range(len(on_objects[tgt])))
-                        values = list(range(len(on_objects[src])))
-                        if tgt == obj:
+                for j, (dom, cod) in enumerate(ends):
+                    if obj in (dom, cod):
+                        positions, values = list(range(sizes[dom])), list(range(sizes[cod]))
+                        if dom == obj:
                             positions[k], positions[k + 1] = k + 1, k
-                        if src == obj:
+                        if cod == obj:
                             values[k], values[k + 1] = k + 1, k
                         swap.append((j, tuple(positions), tuple(values)))
                 swaps.append(swap)
         verdict_of: dict[tuple, bool] = {}
         for functor in functors:
-            key = tuple(functor.act(label).images for label in gens)
+            key = tuple(functor.actions[label] for label in gens)
             reflexive = verdict_of.get(key)
             if reflexive is None:
                 reflexive = is_natural_iso(unit(functor, b))

@@ -9,18 +9,21 @@ guarded by an explicit budget that counts the slots assigned or forced.
 
 Labels live at the edge, positions inside. A FinSet indexes its labels
 once; a SetFunction stores the codomain position of each image and builds
-its label view ``mapping`` only when asked; a transformation is its flat
-slot tuple in the layout its source functor decides (``first``), and its
-``components`` are a view built on read. Outside input is checked where
-it enters (``SetFunction(dom, cod, mapping)``, ``validate_functor``,
+its label view ``mapping`` only when asked. A functor stores each action
+as such an image tuple and a transformation its flat slot tuple, in the
+layout its source functor decides (``first``); ``act`` and ``components``
+are views built on read. Outside input is checked where it enters
+(``SetFunction(dom, cod, mapping)``, ``validate_functor``,
 ``make_transformation``). The library's own functors are built by
-``from_generators``, which checks only the relations; composites and
-search results, correct by construction, skip the check. Representables
-are built once per category and memoised on it.
+``from_generators``, which checks only the relations. Representables are
+built once per category and memoised on it.
 
-A copresheaf on C is a presheaf on C^op: ``dual`` reads the same value
-table over ``opposite(C)`` with the other variance, and the copresheaf
-side is derived through it, z_C(X) = y_{C^op}(X).
+A copresheaf on C is a presheaf on C^op, whose morphisms are those of C
+read backwards. A functor's ``shape`` is the one place that turns
+variance into a direction: the base, or its opposite for a contravariant
+functor. ``dual`` reads the same value table over ``opposite(C)`` with
+the other variance, and the copresheaf side is derived through it,
+z_C(X) = y_{C^op}(X).
 """
 
 from __future__ import annotations
@@ -86,6 +89,20 @@ class FinSet(Frozen):
         return item in self.index
 
 
+def _images(dom: FinSet, cod: FinSet, mapping: dict[str, str]) -> tuple[int, ...]:
+    """``SetFunction(dom, cod, mapping).images``, every image checked."""
+    for e in dom.elements:
+        if e not in mapping:
+            raise ValueError(f"element {e!r} has no image")
+    for e, img in mapping.items():
+        if e not in dom:
+            raise ValueError(f"mapping defined on {e!r} outside the domain")
+        if img not in cod:
+            raise ValueError(f"image {img!r} of {e!r} lies outside the codomain")
+    position = cod.index
+    return tuple(position[mapping[e]] for e in dom.elements)
+
+
 def _gather(table: tuple, positions: tuple[int, ...]) -> tuple:
     """``table[p]`` for every p in ``positions``, as a tuple."""
     if len(positions) > 1:
@@ -105,18 +122,7 @@ class SetFunction(Frozen):
     __slots__ = _fields = ("dom", "cod", "images")
 
     def __init__(self, dom: FinSet, cod: FinSet, mapping: dict[str, str]):
-        for e in dom.elements:
-            if e not in mapping:
-                raise ValueError(f"element {e!r} has no image")
-        for e, img in mapping.items():
-            if e not in dom:
-                raise ValueError(f"mapping defined on {e!r} outside the domain")
-            if img not in cod:
-                raise ValueError(f"image {img!r} of {e!r} lies outside the codomain")
-        position = cod.index
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "images", tuple(position[mapping[e]] for e in dom.elements))
+        super().__init__(dom, cod, _images(dom, cod, mapping))
 
     @classmethod
     def _trusted(cls, dom: FinSet, cod: FinSet, images: tuple[int, ...]) -> "SetFunction":
@@ -143,22 +149,31 @@ class SetFunction(Frozen):
         return len(self.dom) == len(self.cod) == len(set(self.images))
 
 
-def identity_function(carrier: FinSet) -> SetFunction:
-    return SetFunction._trusted(carrier, carrier, tuple(range(len(carrier))))
+def _shape(base: FinCategory, variance: str) -> FinCategory:
+    """The category along which the actions point: the action of u runs
+    from the value set at ``morphism(u).src`` to the one at its ``tgt``,
+    and a table entry (a, b) -> r reads F(r) = F(a) . F(b)."""
+    return base if variance == COVARIANT else opposite(base)
 
 
 class SetValuedFunctor(Frozen):
     """A functor from a finite category into finite sets: a value set for
-    each object and an action for each morphism. Unslotted: the cached slot
-    layout ``first`` lives in the instance dict."""
+    each object and, for each morphism u, the image tuple ``actions[u]``
+    of its action, viewed as a SetFunction by ``act(u)``. Unslotted: the
+    cached ``shape`` and slot layout ``first`` live in the instance dict."""
 
-    _fields = ("base", "variance", "on_objects", "on_morphisms")
+    _fields = ("base", "variance", "on_objects", "actions")
 
     def at(self, obj: str) -> FinSet:
         return self.on_objects[obj]
 
+    @cached_property
+    def shape(self) -> FinCategory:
+        return _shape(self.base, self.variance)
+
     def act(self, morphism: str) -> SetFunction:
-        return self.on_morphisms[morphism]
+        m = self.shape.morphism(morphism)
+        return SetFunction._trusted(self.on_objects[m.src], self.on_objects[m.tgt], self.actions[morphism])
 
     @cached_property
     def first(self) -> dict[str, int]:
@@ -181,7 +196,7 @@ def dual(functor: SetValuedFunctor) -> SetValuedFunctor:
     variance; the functor laws carry over, and ``dual(dual(F)).base is
     F.base``."""
     variance = CONTRAVARIANT if functor.variance == COVARIANT else COVARIANT
-    return SetValuedFunctor(opposite(functor.base), variance, functor.on_objects, functor.on_morphisms)
+    return SetValuedFunctor(opposite(functor.base), variance, functor.on_objects, functor.actions)
 
 
 def validate_functor(
@@ -210,37 +225,35 @@ def validate_functor(
         if obj not in objects:
             raise StructuralError(f"value set declared for undeclared object {obj!r}")
 
-    morphisms: dict[str, SetFunction] = {}
-    for m in base.morphisms:
-        dom_obj, cod_obj = (m.src, m.tgt) if variance == COVARIANT else (m.tgt, m.src)
-        dom, cod = objects[dom_obj], objects[cod_obj]
+    shape = _shape(base, variance)
+    actions: dict[str, tuple[int, ...]] = {}
+    for m in shape.morphisms:
+        dom, cod = objects[m.src], objects[m.tgt]
         if m.label not in on_morphisms:
             if base.is_identity(m.label):
-                morphisms[m.label] = identity_function(dom)
+                actions[m.label] = tuple(range(len(dom)))
                 continue
             raise StructuralError(f"no action declared for morphism {m.label!r}")
         try:
-            morphisms[m.label] = SetFunction(dom, cod, dict(on_morphisms[m.label]))
+            actions[m.label] = _images(dom, cod, dict(on_morphisms[m.label]))
         except ValueError as exc:
             raise FunctorLawError("typing", (m.label,), str(exc)) from None
     for label in on_morphisms:
-        if label not in morphisms:
+        if label not in actions:
             raise StructuralError(f"action declared for undeclared morphism {label!r}")
 
     for obj in base.objects:
         ident = base.identity[obj]
-        if morphisms[ident].images != tuple(range(len(objects[obj]))):
+        if actions[ident] != tuple(range(len(objects[obj]))):
             raise FunctorLawError("identity", (ident,), f"action of {ident!r} is not the identity on the value set of {obj!r}")
 
-    for (g, f), r in base.table.items():
-        if variance == COVARIANT:
-            expected = _gather(morphisms[g].images, morphisms[f].images)
-        else:
-            expected = _gather(morphisms[f].images, morphisms[g].images)
-        if morphisms[r].images != expected:
+    # opposite() lists its table in its base's order, so the witness is the
+    # first failing entry (g, f) -> r of the base's table, in its terms.
+    for ((g, f), r), (a, b) in zip(base.table.items(), shape.table):
+        if actions[r] != _gather(actions[a], actions[b]):
             raise FunctorLawError("composition", (g, f, r), "action of the composite differs from the composite of the actions")
 
-    return SetValuedFunctor(base, variance, objects, morphisms)
+    return SetValuedFunctor(base, variance, objects, actions)
 
 
 class NatTransformation(Frozen):
@@ -302,15 +315,13 @@ def _require_parallel(source: SetValuedFunctor, target: SetValuedFunctor) -> Non
 def naturality_witness(t: NatTransformation) -> tuple[str, str] | None:
     """First (morphism, element) pair whose naturality square fails, or None."""
     source, target, slots = t.source, t.target, t.slots
-    covariant = source.variance == COVARIANT
-    for m in source.base.morphisms:
-        start, end = (m.src, m.tgt) if covariant else (m.tgt, m.src)
-        fu, gu = source.act(m.label).images, target.act(m.label).images
-        comp_start, comp_end = slots[source.block(start)], slots[source.block(end)]
+    for m in source.shape.morphisms:
+        fu, gu = source.actions[m.label], target.actions[m.label]
+        comp_start, comp_end = slots[source.block(m.src)], slots[source.block(m.tgt)]
         around, across = _gather(comp_end, fu), _gather(gu, comp_start)
         if around != across:
             k = next(k for k, (a, b) in enumerate(zip(around, across)) if a != b)
-            return m.label, source.at(start).elements[k]
+            return m.label, source.at(m.src).elements[k]
     return None
 
 
@@ -370,8 +381,7 @@ def enumerate_nat(
     """
     _require_parallel(source, target)
     b = Budget.coerce(budget)
-    base = source.base
-    covariant = source.variance == COVARIANT
+    base, shape = source.base, source.shape
 
     # Slot i (layout source.first) holds the target position assigned to
     # one source element, one of choices[i] values.
@@ -380,7 +390,7 @@ def enumerate_nat(
     n = len(choices)
 
     # Assigning eta(obj)(e) = v forces, along each generating morphism u
-    # leaving obj (entering, for contravariant), the value eta(end)(F(u)(e))
+    # leaving obj in the shape, the value eta(end)(F(u)(e))
     # = G(u)(v). F and G are functors, so a family natural along the
     # generators is natural along their composites, and forcing along the
     # generators reaches the same slots with the same values as forcing
@@ -388,11 +398,10 @@ def enumerate_nat(
     # declaration order of the generators.
     edges: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     for label in generators(base)[0]:
-        m = base.morphism(label)
-        start, end = (m.src, m.tgt) if covariant else (m.tgt, m.src)
-        gu = target.act(label).images
-        lo, end_lo = first[start], first[end]
-        for k, p in enumerate(source.act(label).images):
+        m = shape.morphism(label)
+        gu = target.actions[label]
+        lo, end_lo = first[m.src], first[m.tgt]
+        for k, p in enumerate(source.actions[label]):
             edges[lo + k].append((end_lo + p, gu))
 
     values: list[int | None] = [None] * n
@@ -490,29 +499,23 @@ def from_generators(
     ``images[i]``, codomain positions as in ``SetFunction.images``, or None.
 
     Identities act as identities and every other morphism by the composite
-    along its derivation, so only the relations can fail; None when one
-    does. The library's own functors are built here, with images correct
-    by construction; outside input goes through ``validate_functor``.
+    along its derivation in the shape, so only the shape's relations can
+    fail; None when one does. A category and its opposite have the same
+    generators, as composites reach the same morphisms in both. The
+    library's own functors are built here, with images correct by
+    construction; outside input goes through ``validate_functor``.
     """
-    gens, derivations = generators(base)
-    covariant = variance == COVARIANT
+    shape = _shape(base, variance)
+    gens, derivations = generators(shape)
     actions = dict(zip(gens, images))
     for obj in base.objects:
         actions[base.identity[obj]] = tuple(range(len(on_objects[obj])))
-
-    def composite(g: str, f: str) -> tuple[int, ...]:
-        return _gather(actions[g], actions[f]) if covariant else _gather(actions[f], actions[g])
-
-    for r, g, f in derivations:
-        actions[r] = composite(g, f)
-    for g, f, r in _relations(base):
-        if actions[r] != composite(g, f):
+    for r, a, b in derivations:
+        actions[r] = _gather(actions[a], actions[b])
+    for a, b, r in _relations(shape):
+        if actions[r] != _gather(actions[a], actions[b]):
             return None
-    on_morphisms = {}
-    for m in base.morphisms:
-        dom, cod = (m.src, m.tgt) if covariant else (m.tgt, m.src)
-        on_morphisms[m.label] = SetFunction._trusted(on_objects[dom], on_objects[cod], actions[m.label])
-    return SetValuedFunctor(base, variance, on_objects, on_morphisms)
+    return SetValuedFunctor(base, variance, on_objects, actions)
 
 
 @_per_category
@@ -539,15 +542,8 @@ def yoneda_on_morphism(category: FinCategory, morphism: str) -> NatTransformatio
     """Postcomposition transformation y(src(u)) => y(tgt(u)) induced by u."""
     m = category.morphism(morphism)
     src_f, tgt_f = yoneda(category, m.src), yoneda(category, m.tgt)
-    comps = {
-        a: SetFunction(
-            src_f.at(a),
-            tgt_f.at(a),
-            {h: category.compose(morphism, h) for h in src_f.at(a).elements},
-        )
-        for a in category.objects
-    }
-    return make_transformation(src_f, tgt_f, comps)
+    slots = (tgt_f.at(a).index[category.table[(morphism, h)]] for a in category.objects for h in src_f.at(a))
+    return NatTransformation._checked(src_f, tgt_f, tuple(slots))
 
 
 @_per_category
@@ -606,7 +602,7 @@ def yoneda_lemma_bijection(
     at_identity = hom_into.first[obj] + hom_into.at(obj).index[base.identity_of(obj)]
 
     forward = tuple(t.slots[at_identity] for t in nats)
-    actions = [presheaf.act(u).images for w in base.objects for u in hom_into.at(w).elements]
+    actions = [presheaf.actions[u] for w in base.objects for u in hom_into.at(w).elements]
     backward = []
     for k in range(len(presheaf.at(obj))):
         i = index.get(tuple(action[k] for action in actions))
@@ -634,8 +630,8 @@ def pointwise_sum(left: SetValuedFunctor, right: SetValuedFunctor) -> SetValuedF
     }
     images = []
     for label in generators(base)[0]:
-        lf, rf = left.act(label), right.act(label)
-        images.append(lf.images + tuple(p + len(lf.cod) for p in rf.images))
+        offset = len(left.at(left.shape.morphism(label).tgt))
+        images.append(left.actions[label] + tuple(p + offset for p in right.actions[label]))
     return from_generators(base, left.variance, on_objects, images)
 
 

@@ -210,7 +210,7 @@ def _records(categories, presheaves, copresheaves, metrics):
         (FinCategory, fields(arrow, "objects", "morphisms", "identity", "table")),
         (FinSet, dict(elements=("a", "b"))),
         (SetFunction, dict(dom=a, cod=b, mapping={"a": "y", "b": "x"})),
-        (SetValuedFunctor, fields(functor, "base", "variance", "on_objects", "on_morphisms")),
+        (SetValuedFunctor, fields(functor, "base", "variance", "on_objects", "actions")),
         (NatTransformation, dict(source=functor, target=functor, slots=identity_nat(functor).slots)),
         (Bijection, dict(forward=swap, backward=SetFunction(b, a, {"x": "b", "y": "a"}))),
         (YonedaWitness, fields(yoneda_witness, "transformations", "labels", "bijection")),

@@ -43,6 +43,7 @@ from catspan import (
     is_natural_iso,
     iso_check,
     make_transformation,
+    opposite,
     pointwise_sum,
     reflexive_scan,
     unit,
@@ -204,6 +205,24 @@ def test_generators_are_an_irredundant_generating_set(category):
         assert category.table[(g, f)] == r
         earlier.add(r)
     assert generators(category) is generators(category)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(categories, st.sampled_from([CONTRAVARIANT, COVARIANT]), st.data())
+def test_actions_point_along_the_shape(category, variance, data):
+    """A category and its opposite have the same generators. An action
+    runs between the value sets at the ends of its morphism in the shape:
+    the base read forwards for a covariant functor and backwards for a
+    contravariant one. The dual functor acts as the functor does."""
+    assert generators(opposite(category))[0] == generators(category)[0]
+    representable = yoneda if variance == CONTRAVARIANT else coyoneda
+    functor = data.draw(st.sampled_from(small_functors([representable(category, x) for x in category.objects])))
+    for m in category.morphisms:
+        action, forward = functor.act(m.label), functor.shape.morphism(m.label)
+        assert (action.dom, action.cod) == (functor.at(forward.src), functor.at(forward.tgt))
+        dom, cod = (m.src, m.tgt) if variance == COVARIANT else (m.tgt, m.src)
+        assert (forward.src, forward.tgt) == (dom, cod)
+        assert dual(functor).act(m.label) == action
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

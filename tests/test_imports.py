@@ -146,7 +146,7 @@ print(sorted(name for module in ("core", "fincat", "setfunc") for name in catspa
 """
     names = [name for module in ("core", "fincat", "setfunc") for name in catspan._EXPORTS[module]]
     assert run_python(script).strip() == str(sorted(names))
-    assert len(names) == 41
+    assert len(names) == 40
 
 
 def test_tightspan_names_resolve_on_first_use():

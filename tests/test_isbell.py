@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,20 @@ def test_scan_is_deterministic(categories):
 def test_scan_budget(categories):
     with pytest.raises(BudgetExceeded):
         reflexive_scan(categories["square"], 2, budget=Budget(50))
+
+
+def test_scan_budget_bounds_memory(categories):
+    """A size vector's candidates are charged before any is built. At set
+    size 7 a generator of the square has up to 7**7 actions, and the
+    budget stops the scan before any size vector's are materialized."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            reflexive_scan(categories["square"], 7, budget=Budget(1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def _scan_category(categories, name):

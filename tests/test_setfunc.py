@@ -68,6 +68,23 @@ def test_z2_constant_action_breaks_composition(categories):
     assert ("s", "s", "e") == err.value.witness
 
 
+@pytest.mark.parametrize("variance", [COVARIANT, CONTRAVARIANT])
+def test_composition_witness_is_the_first_failing_entry_in_base_order(categories, variance):
+    """Over the square, the table lists (bd, ab) -> ad before (cd, ac) ->
+    ad. The witness is (g, f, g . f) in the base's terms whichever way the
+    actions point."""
+    square = categories["square"]
+    objects = {obj: ["0", "1"] for obj in square.objects}
+    keep, swap = {"0": "0", "1": "1"}, {"0": "1", "1": "0"}
+    actions = {"ab": keep, "ac": keep, "bd": keep, "cd": keep, "ad": swap}
+    with pytest.raises(FunctorLawError) as err:
+        validate_functor(square, variance, objects, actions)
+    assert err.value.law == "composition" and err.value.witness == ("bd", "ab", "ad")
+    with pytest.raises(FunctorLawError) as err:
+        validate_functor(square, variance, objects, dict(actions, bd=swap))
+    assert err.value.law == "composition" and err.value.witness == ("cd", "ac", "ad")
+
+
 def test_identity_action_enforced(categories):
     arrow = categories["arrow"]
     with pytest.raises(FunctorLawError) as err:
@@ -260,7 +277,7 @@ def test_dual_is_the_same_table_over_the_opposite(categories, presheaves, copres
             assert d.base is opposite(cat) and d.variance != f.variance
             assert dual(d).base is f.base and dual(d) == f
             # an independent re-check of the laws over C^op
-            actions = {m: fn.mapping for m, fn in d.on_morphisms.items()}
+            actions = {m: d.act(m).mapping for m in d.actions}
             assert validate_functor(d.base, d.variance, d.on_objects, actions) == d, name
         for x in cat.objects:
             assert coyoneda(cat, x) == dual(yoneda(opposite(cat), x)), (name, x)
