@@ -5,7 +5,9 @@ validator; transformations are represented as plain per-object mapping
 dicts and every square is checked by direct loops. The scan oracle tries
 every action on every morphism and checks the composition table entry by
 entry, and the isomorphism-class count relabels each functor it finds by
-every choice of per-object permutations. The metric oracles import
+every choice of per-object permutations. The Dedekind-MacNeille oracle
+reads a poset's order off its morphisms and closes each down-set under
+upper and lower bounds by direct loops. The metric oracles import
 nothing from catspan: the axioms are checked by a scalar loop over every
 entry, pair and triple, and the reference projection recomputes the full
 defect, slack included, on every round.
@@ -159,6 +161,24 @@ def full_product_count(category, max_set_size: int) -> int:
         size = dict(zip(category.objects, sizes))
         total += math.prod(size[m.src] ** size[m.tgt] for m in moving)
     return total
+
+
+def dedekind_macneille_cuts(poset) -> dict[frozenset, bool]:
+    """Every down-set D of a thin category, read from its morphisms as the
+    order x <= y iff there is a morphism x -> y, mapped to whether D is a
+    cut of the Dedekind-MacNeille completion: D = (D^u)^l, the lower bounds
+    of the upper bounds of D."""
+    objects = list(poset.objects)
+    leq = {(m.src, m.tgt) for m in poset.morphisms}
+    cuts = {}
+    for picks in itertools.product((False, True), repeat=len(objects)):
+        down = frozenset(x for x, p in zip(objects, picks) if p)
+        if any((x, y) in leq and x not in down for y in down for x in objects):
+            continue
+        upper = [u for u in objects if all((d, u) in leq for d in down)]
+        closure = frozenset(x for x in objects if all((x, u) in leq for u in upper))
+        cuts[down] = closure == down
+    return cuts
 
 
 # An eighth of the largest float: sums of a few such distances stay finite.

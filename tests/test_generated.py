@@ -14,7 +14,9 @@ adjunction's transpose, the reflexivity of representables and the
 triangle identity of the conjugation adjunction; over scanned functors,
 that reflexivity is invariant under isomorphism and that the scan
 compares once per isomorphism class, with the verdict of a direct
-comparison.
+comparison. Over C and C^op, both conjugates' evaluation tables list the
+oracle's transformations in its order, and on posets the scan at set size
+1 finds reflexive exactly the cuts of the Dedekind-MacNeille completion.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from catspan import (
     adjunction_transpose,
     component_signature,
     compose_nat,
+    conjugate_copresheaf,
     conjugate_presheaf,
     conjugate_transform,
     coyoneda,
@@ -57,6 +60,7 @@ from catspan.setfunc import from_generators
 from oracles import (
     brute_force_nat,
     composition_closure,
+    dedekind_macneille_cuts,
     family_of,
     full_product_count,
     full_product_scan,
@@ -271,6 +275,48 @@ def test_enumerate_nat_matches_brute_force_on_representables_and_sums(category, 
     source, target = data.draw(st.sampled_from(pairs))
     found = [family_of(t) for t in enumerate_nat(source, target)]
     assert found == brute_force_nat(source, target)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(categories, st.booleans(), st.data())
+def test_evaluation_tables_match_brute_force(category, flip, data):
+    """Over C or C^op, for F a representable or a sum of two: the table of
+    F* at X lists nat(F, y(X)) in the oracle's order, that of the
+    copresheaf conjugate of dual(F) lists nat(dual(F), z(X)) over C^op,
+    each entry a transformation into z(X), and ``label_of`` names the entry
+    at position i ``t<i>``."""
+    if flip:
+        category = opposite_of(category)
+    functor = data.draw(st.sampled_from(small_functors([yoneda(category, x) for x in category.objects])))
+    objects = [x for x in category.objects if unpruned_family_count(functor, yoneda(category, x)) <= FAMILY_CAP]
+    assume(objects)
+    co = dual(functor)
+    for pair, target in (
+        (conjugate_presheaf(functor), lambda x: yoneda(category, x)),
+        (conjugate_copresheaf(co), lambda x: coyoneda(co.base, x)),
+    ):
+        for x in objects:
+            table = pair.evaluation_tables[x]
+            assert all(t.source is pair.original and t.target is target(x) for t in table)
+            assert [family_of(t) for t in table] == brute_force_nat(pair.original, target(x))
+            assert [pair.label_of(x, t) for t in table] == [f"t{i}" for i in range(len(table))]
+            assert pair.conjugate.at(x).elements == tuple(f"t{i}" for i in range(len(table)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(posets(), st.booleans())
+def test_reflexive_down_sets_are_the_dedekind_macneille_cuts(poset, flip):
+    """A presheaf on a poset with value sets of at most one element is the
+    down-set where it is nonempty, and it is reflexive exactly when that
+    down-set is a cut, D = (D^u)^l (Willerton, TAC 28, 2013)."""
+    if flip:
+        poset = opposite_of(poset)
+    found = {}
+    for v in reflexive_scan(poset, 1):
+        down = frozenset(x for x in poset.objects if len(v.functor.at(x)) == 1)
+        assert down not in found, v.description
+        found[down] = v.reflexive
+    assert found == dedekind_macneille_cuts(poset)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
