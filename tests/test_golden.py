@@ -4,7 +4,8 @@ Each case runs ``catspan.cli.main`` from the directory holding its inputs,
 so the reported input paths are the bare file names, and compares stdout
 with ``tests/golden/<case>.json``. The corpus cases are the criterion-7
 suite of ``test_acceptance``; the others run ``unit``, ``conjugate`` and
-``adjunction-check`` on sums of two representables over Z3 and Z4, and
+``adjunction-check`` on sums of two representables over Z3 and Z4,
+``unit`` and ``conjugate`` on them over Z5, and
 ``reflexive-scan`` at set size 2 on ``square`` and on a 3-object chain
 whose composite is declared before its two factors. The documents not in
 the fixtures live in ``tests/golden/inputs``.
@@ -54,6 +55,12 @@ for _n in (3, 4):
         (f"z{_n}-conjugate-zz", INPUTS, ["conjugate", f"z{_n}_zz.copresheaf.json"]),
         (f"z{_n}-adjunction-yy-zz", INPUTS, ["adjunction-check", f"z{_n}_yy.presheaf.json", f"z{_n}_zz.copresheaf.json"]),
     ]
+# Z5, the size the benchmark's duality workload runs at.
+CASES += [
+    ("z5-unit-yy", INPUTS, ["unit", "z5_yy.presheaf.json"]),
+    ("z5-conjugate-yy", INPUTS, ["conjugate", "z5_yy.presheaf.json"]),
+    ("z5-conjugate-zz", INPUTS, ["conjugate", "z5_zz.copresheaf.json"]),
+]
 CASES += [
     ("scan-square-2", FIXTURES, ["reflexive-scan", "square.category.json", "--max-set-size", "2"]),
     ("scan-chain3-2", INPUTS, ["reflexive-scan", "chain3.category.json", "--max-set-size", "2"]),
@@ -149,7 +156,7 @@ def _write(path: Path, data: bytes) -> bool:
 if __name__ == "__main__":
     INPUTS.mkdir(parents=True, exist_ok=True)
     documents = {"chain3.category.json": _chain_document()}
-    for n in (3, 4):
+    for n in (3, 4, 5):
         documents.update(_cyclic_documents(n))
     changed = []
     for filename, doc in documents.items():
