@@ -11,11 +11,12 @@ functor category, so "hom(F*, G)" is computed as transformations G => F*.
 With this reading the two conjugations are adjoint on the right and the
 transpose below is a bijection.
 
-The element at position i of a conjugate at X is the i-th transformation
-of its evaluation table, labeled ``t<i>`` only at the edge. A
-ConjugatePair keeps the slots -> position index built with each table;
-the conjugate's action, conjugate_transform and the transpose read and
-write slot tuples (``NatTransformation.slots``) and locate them there.
+The element at position i of a conjugate at X is realized by the i-th
+transformation into the representable, labeled ``t<i>`` only at the edge.
+A ConjugatePair keeps each table once, as slot tuples in enumeration
+order (``rows``) and a slots -> position ``index`` over the same tuples.
+The conjugate's action, conjugate_transform and the transpose read only
+these; ``evaluation_tables`` builds the transformations on read.
 One transpose routine serves both directions of the adjunction, and the
 unit is the transpose of the identity of the conjugate.
 
@@ -57,13 +58,21 @@ from .setfunc import (
 
 class ConjugatePair(Frozen):
     """A functor together with its conjugate and, for every object, the
-    transformations realizing the conjugate's elements. Element ``t<i>``,
-    at position i of the conjugate at X, is evaluation_tables[X][i], and
-    index[X] maps that transformation's slots back to i. Downstream
-    consumers locate slot tuples there; ``label_of`` is the label view of
-    that lookup."""
+    slot tuples of the transformations realizing the conjugate's elements.
+    Element ``t<i>``, at position i of the conjugate at X, is realized by
+    rows[X][i], and index[X] maps that same tuple back to i, as a FinSet
+    keeps its elements and their index. ``evaluation_tables`` is a view
+    built on read; ``label_of`` is the label view of the lookup."""
 
-    __slots__ = _fields = ("original", "conjugate", "evaluation_tables", "index")
+    __slots__ = _fields = ("original", "conjugate", "rows", "index")
+
+    @property
+    def evaluation_tables(self) -> dict[str, list[NatTransformation]]:
+        """The realizing transformations, built on read: into y(X) for a
+        presheaf's pair, into z(X) for a copresheaf's."""
+        f = self.original
+        into = yoneda if f.variance == CONTRAVARIANT else coyoneda
+        return {x: [NatTransformation(f, into(f.base, x), s) for s in rows] for x, rows in self.rows.items()}
 
     def label_of(self, obj: str, t: NatTransformation) -> str:
         return f"t{_locate(self.index, obj, t.slots)}"
@@ -77,27 +86,23 @@ def _locate(index: dict[str, dict[tuple[int, ...], int]], obj: str, slots: tuple
     return i
 
 
-def _labels(n: int) -> FinSet:
-    return FinSet(tuple(f"t{i}" for i in range(n)))
-
-
 def _conjugate(presheaf: SetValuedFunctor, budget: Budget) -> ConjugatePair:
     """Object X carries the transformations presheaf => y(X), labeled t0,
     t1, ... in enumeration order. A generating morphism u: X -> Y acts by
     postcomposition with y(u): y(X) => y(Y), slot by slot; from_generators
     derives the other actions and checks the relations."""
     base = presheaf.base
-    tables = {obj: enumerate_nat(presheaf, yoneda(base, obj), budget) for obj in base.objects}
-    # Slot tuples are distinct, so each index lists them in table order.
-    index = {obj: {t.slots: i for i, t in enumerate(entries)} for obj, entries in tables.items()}
+    rows = {obj: tuple(t.slots for t in enumerate_nat(presheaf, yoneda(base, obj), budget)) for obj in base.objects}
+    # Slot tuples are distinct, so each index lists them in row order.
+    index = {obj: {slots: i for i, slots in enumerate(entries)} for obj, entries in rows.items()}
     images = []
     for label in generators(base)[0]:
         m = base.morphism(label)
         u = yoneda_on_morphism(base, label)
         offsets = _offsets(presheaf, u.source)
-        images.append(tuple(_locate(index, m.tgt, _composite(u.slots, offsets, slots)) for slots in index[m.src]))
-    on_objects = {obj: _labels(len(tables[obj])) for obj in base.objects}
-    return ConjugatePair(presheaf, from_generators(base, COVARIANT, on_objects, images), tables, index)
+        images.append(tuple(_locate(index, m.tgt, _composite(u.slots, offsets, slots)) for slots in rows[m.src]))
+    on_objects = {obj: FinSet(tuple(f"t{i}" for i in range(len(rows[obj])))) for obj in base.objects}
+    return ConjugatePair(presheaf, from_generators(base, COVARIANT, on_objects, images), rows, index)
 
 
 def conjugate_presheaf(presheaf: SetValuedFunctor, budget: Budget | None = None) -> ConjugatePair:
@@ -114,17 +119,12 @@ def conjugate_copresheaf(copresheaf: SetValuedFunctor, budget: Budget | None = N
     """The contravariant conjugate: object X carries the transformations
     from the copresheaf into the representable z(X); a morphism acts by
     postcomposition with the precomposition transformation it induces.
-    Computed as dual((dual G)*); table entries are re-tagged as the
-    transformations G => z(X) they are, so that they compose over C."""
+    Computed as dual((dual G)*), whose rows and index are G*'s: a slot
+    tuple into y_{C^op}(X) is the same tuple into z(X)."""
     if copresheaf.variance != COVARIANT:
         raise ValueError("copresheaf conjugation needs a covariant functor")
-    base = copresheaf.base
     over_op = _conjugate(dual(copresheaf), Budget.coerce(budget))
-    tables = {}
-    for obj, entries in over_op.evaluation_tables.items():
-        z = coyoneda(base, obj)
-        tables[obj] = [NatTransformation(copresheaf, z, t.slots) for t in entries]
-    return ConjugatePair(copresheaf, dual(over_op.conjugate), tables, over_op.index)
+    return ConjugatePair(copresheaf, dual(over_op.conjugate), over_op.rows, over_op.index)
 
 
 def conjugate_transform(
@@ -139,9 +139,9 @@ def conjugate_transform(
         raise ValueError("transformations not composable: endpoints differ")
     offsets = _offsets(h.source, h.target)
     slots = tuple(
-        _locate(target_pair.index, obj, _composite(t.slots, offsets, h.slots))
+        _locate(target_pair.index, obj, _composite(slots, offsets, h.slots))
         for obj in h.source.base.objects
-        for t in source_pair.evaluation_tables[obj]
+        for slots in source_pair.rows[obj]
     )
     return NatTransformation._checked(source_pair.conjugate, target_pair.conjugate, slots)
 
@@ -170,10 +170,10 @@ def _transpose(h: NatTransformation, pair: ConjugatePair, other_pair: ConjugateP
     """
     f, g = pair.original, h.source
     objects = f.base.objects
-    tables = pair.evaluation_tables
+    rows = pair.rows
     # The realizer alpha of each slot of h, in h's slot order; the curried
     # transformation of the element at slot k of F reads slot k of each.
-    realizers = [tables[y][i].slots for y in objects for i in h.slots[g.block(y)]]
+    realizers = [rows[y][i] for y in objects for i in h.slots[g.block(y)]]
     slots = tuple(
         _locate(other_pair.index, x, tuple(alpha[k] for alpha in realizers))
         for x in objects

@@ -214,7 +214,7 @@ def _records(categories, presheaves, copresheaves, metrics):
         (NatTransformation, dict(source=functor, target=functor, slots=identity_nat(functor).slots)),
         (Bijection, dict(forward=swap, backward=SetFunction(b, a, {"x": "b", "y": "a"}))),
         (YonedaWitness, fields(yoneda_witness, "transformations", "labels", "bijection")),
-        (ConjugatePair, fields(pair, "original", "conjugate", "evaluation_tables", "index")),
+        (ConjugatePair, fields(pair, "original", "conjugate", "rows", "index")),
         (AdjunctionWitness, fields(
             adjunction, "presheaf", "copresheaf", "left_homset", "right_homset", "transpose",
             "presheaf_pair", "copresheaf_pair",
