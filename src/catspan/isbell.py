@@ -258,6 +258,37 @@ def _describe(base: FinCategory, functor: SetValuedFunctor, action_morphisms: li
     return f"{sizes}; {' '.join(actions)}"
 
 
+def _size_vectors(count: int, ends: list[tuple[int, int]], top: int):
+    """The value-set size vectors with at least one candidate, in
+    lexicographic order. A vector has none exactly when a generator runs
+    from a nonempty value set to an empty one. The sweep assigns the
+    objects in order and drops a prefix once an assigned nonempty object
+    reaches an assigned empty one along the generators; any other prefix
+    extends to a vector, so the sweep never dead-ends."""
+    reach = [{cod for dom, cod in ends if dom == i} for i in range(count)]
+    for k in range(count):  # transitive closure, in Warshall's order
+        for targets in reach:
+            if k in targets:
+                targets |= reach[k]
+    sizes: list[int] = []
+    while True:
+        if len(sizes) == count:
+            yield tuple(sizes)
+        else:
+            sizes.append(-1)
+        # Advance the last object to its next size that keeps the prefix,
+        # and drop it once none is left.
+        while sizes:
+            k, v = len(sizes) - 1, sizes.pop() + 1
+            if v == 0 and any(sizes[j] and k in reach[j] for j in range(k)):
+                v = 1
+            if v <= top and not (v == 1 and any(not sizes[j] and j in reach[k] for j in range(k))):
+                sizes.append(v)
+                break
+        else:
+            return
+
+
 def _isomorphism_class(key: tuple, swaps: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]) -> set[tuple]:
     """Every key reachable from ``key`` by the relabellings ``swaps``.
 
@@ -299,11 +330,12 @@ def reflexive_scan(
     derivation, F(g . f) = F(f) . F(g), and keeps the candidate when it
     meets every relation of the composition table. Each candidate costs one
     unit of budget, charged for a whole size vector before its candidates
-    are built, so the budget bounds the memory they take. Value-set size
-    vectors are swept in lexicographic order,
-    and within one the functors are reported in lexicographic order of the
-    actions of every non-identity morphism in declaration order, so the
-    report order is deterministic.
+    are built, so the budget bounds the memory they take. The value-set
+    size vectors with candidates are swept in lexicographic order, each
+    costing at least one unit, so the budget bounds the sweep too; within
+    one the functors are reported in lexicographic order of the actions of
+    every non-identity morphism in declaration order, so the report order
+    is deterministic.
 
     Whether the comparison is an isomorphism does not change under
     isomorphism of functors, so it is computed once per isomorphism class:
@@ -325,12 +357,9 @@ def reflexive_scan(
     ends = [(objects.index(m.src), objects.index(m.tgt)) for m in map(_shape(category, CONTRAVARIANT).morphism, gens)]
     verdicts: list[ReflexiveVerdict] = []
 
-    for sizes in itertools.product(range(max_set_size + 1), repeat=len(objects)):
+    for sizes in _size_vectors(len(objects), ends, max_set_size):
         # Every candidate of the size vector is charged before any is built.
-        count = math.prod(sizes[cod] ** sizes[dom] for dom, cod in ends)
-        b.charge(count)
-        if not count:  # nothing to build, nor to relabel
-            continue
+        b.charge(math.prod(sizes[cod] ** sizes[dom] for dom, cod in ends))
         on_objects = {obj: FinSet(tuple(f"x{k}" for k in range(n))) for obj, n in zip(objects, sizes)}
         choices = [itertools.product(range(sizes[cod]), repeat=sizes[dom]) for dom, cod in ends]
         built = (from_generators(category, CONTRAVARIANT, on_objects, picks) for picks in itertools.product(*choices))

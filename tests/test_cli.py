@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import time
 import warnings
 from pathlib import Path
 
@@ -217,6 +218,18 @@ def test_reflexive_scan(capsys):
     assert code == 0
     results = json.loads(out)["results"]
     assert results["total"] == 2 and results["reflexive_count"] == 1
+
+
+def test_reflexive_scan_budget_bounds_the_sweep(capsys):
+    """Only the size vectors with candidates are swept, and each costs at
+    least one unit, so a small budget stops a scan at any set size at once.
+    Sweeping every vector, (0, *, *, *) included, takes about 10 s here."""
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "reflexive-scan", fx("square.category.json"), "--max-set-size", "150", "--budget", "1000",
+    )
+    assert code == 2 and not out and "budget exceeded" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_metric_validate_ok(capsys):
