@@ -247,15 +247,13 @@ class ReflexiveVerdict(Frozen):
     __slots__ = _fields = ("functor", "description", "reflexive")
 
 
-def _describe(base: FinCategory, functor: SetValuedFunctor, action_morphisms: list[str]) -> str:
-    sizes = ",".join(f"{obj}={len(functor.at(obj))}" for obj in base.objects)
-    if not action_morphisms:
-        return sizes
-    actions = []
-    for label in action_morphisms:
-        body = ",".join(f"{e}>{img}" for e, img in functor.act(label).mapping.items())
-        actions.append(f"{label}:[{body}]")
-    return f"{sizes}; {' '.join(actions)}"
+def _describe(head: str, actions: dict[str, tuple[int, ...]], labels: list[str]) -> str:
+    """The size vector ``head``, then each labelled action as x<k>>x<p>,
+    read off its image tuple."""
+    if not labels:
+        return head
+    body = (f"{u}:[" + ",".join(f"x{k}>x{p}" for k, p in enumerate(actions[u])) + "]" for u in labels)
+    return f"{head}; {' '.join(body)}"
 
 
 def _size_vectors(count: int, ends: list[tuple[int, int]], top: int):
@@ -360,6 +358,7 @@ def reflexive_scan(
     for sizes in _size_vectors(len(objects), ends, max_set_size):
         # Every candidate of the size vector is charged before any is built.
         b.charge(math.prod(sizes[cod] ** sizes[dom] for dom, cod in ends))
+        head = ",".join(f"{obj}={n}" for obj, n in zip(objects, sizes))
         on_objects = {obj: FinSet(tuple(f"x{k}" for k in range(n))) for obj, n in zip(objects, sizes)}
         choices = [itertools.product(range(sizes[cod]), repeat=sizes[dom]) for dom, cod in ends]
         built = (from_generators(category, CONTRAVARIANT, on_objects, picks) for picks in itertools.product(*choices))
@@ -384,5 +383,5 @@ def reflexive_scan(
             if reflexive is None:
                 reflexive = is_natural_iso(unit(functor, b))
                 verdict_of.update(dict.fromkeys(_isomorphism_class(key, swaps), reflexive))
-            verdicts.append(ReflexiveVerdict(functor, _describe(category, functor, non_identity), reflexive))
+            verdicts.append(ReflexiveVerdict(functor, _describe(head, functor.actions, non_identity), reflexive))
     return verdicts
