@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from pathlib import Path
 
@@ -274,6 +275,27 @@ def test_double_conjugate_of_two_representables_has_n_to_the_n_elements(n):
     star, dstar = double_conjugate(two_representables(n))
     assert len(star.conjugate.at("*")) == n * n
     assert len(dstar.conjugate.at("*")) == n**n
+
+
+def test_double_conjugate_keeps_each_table_once():
+    """y + y over Z5, where F* has 25 elements and F** 3,125: each pair
+    keeps its table as slot tuples with their index, and F* and F** retain
+    about 1.61 MB. Keeping F**'s table a second time, as transformations
+    into z(X), retained 1.79 MB."""
+    presheaf = two_representables(5)
+    double_conjugate(presheaf)  # build the memoised representables first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pairs = double_conjugate(presheaf)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_700_000
+    assert [len(pair.rows["*"]) for pair in pairs] == [25, 3125]
+    for pair in pairs:
+        assert all(type(slots) is tuple and pair.index["*"][slots] == i for i, slots in enumerate(pair.rows["*"]))
 
 
 def test_label_of_rejects_absent_transformation(categories):
