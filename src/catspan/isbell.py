@@ -259,30 +259,35 @@ def _describe(head: str, actions: dict[str, tuple[int, ...]], labels: list[str])
 def _size_vectors(count: int, ends: list[tuple[int, int]], top: int):
     """The value-set size vectors with at least one candidate, in
     lexicographic order. A vector has none exactly when a generator runs
-    from a nonempty value set to an empty one. The sweep assigns the
-    objects in order and drops a prefix once an assigned nonempty object
-    reaches an assigned empty one along the generators; any other prefix
-    extends to a vector, so the sweep never dead-ends."""
+    from a nonempty value set to an empty one, or, closing the generators
+    transitively, when a nonempty one reaches an empty one. The sweep
+    assigns the objects in order and never lets an assigned nonempty
+    object reach an assigned empty one; such a prefix always extends to a
+    vector, so the sweep never dead-ends."""
     reach = [{cod for dom, cod in ends if dom == i} for i in range(count)]
     for k in range(count):  # transitive closure, in Warshall's order
         for targets in reach:
             if k in targets:
                 targets |= reach[k]
     sizes: list[int] = []
+    options = []  # options[k]: the sizes object k has left to take
     while True:
-        if len(sizes) == count:
+        k = len(sizes)
+        if k == count:
             yield tuple(sizes)
         else:
-            sizes.append(-1)
-        # Advance the last object to its next size that keeps the prefix,
-        # and drop it once none is left.
-        while sizes:
-            k, v = len(sizes) - 1, sizes.pop() + 1
-            if v == 0 and any(sizes[j] and k in reach[j] for j in range(k)):
-                v = 1
-            if v <= top and not (v == 1 and any(not sizes[j] and j in reach[k] for j in range(k))):
-                sizes.append(v)
+            # Nonempty if an assigned nonempty object reaches object k, and
+            # empty if object k reaches an assigned empty one.
+            low = int(any(sizes[j] and k in reach[j] for j in range(k)))
+            high = 0 if any(not sizes[j] and j in reach[k] for j in range(k)) else top
+            options.append(iter(range(low, high + 1)))
+        while options:  # advance the last object, dropping exhausted ones
+            size = next(options[-1], None)
+            del sizes[len(options) - 1:]
+            if size is not None:
+                sizes.append(size)
                 break
+            options.pop()
         else:
             return
 
