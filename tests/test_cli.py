@@ -650,3 +650,47 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, target):
     code, out, err = run(capsys, "tripod", fx("triangle345.metric.json"), "--output", path)
     assert code == 2 and out == ""
     assert err.startswith(f"catspan: error: {path}: ") and err.count("\n") == 1, err
+
+
+EMPTY_CATEGORY = {"format": 1, "kind": "category", "objects": [], "morphisms": [], "identities": {}, "compose": []}
+EMPTY_PRESHEAF = {
+    "format": 1, "kind": "functor", "category": "empty.category.json", "variance": "contra",
+    "objects": {}, "morphisms": {},
+}
+
+
+@pytest.mark.parametrize(
+    "argv,keyword",
+    [
+        (["nat", "z2_regular.presheaf.json", "arrow_pq_r.presheaf.json"], "base"),
+        (["nat", "z2_regular.presheaf.json", "z2_regular.copresheaf.json"], "variance"),
+        (["sum", "z2_regular.presheaf.json", "arrow_pq_r.presheaf.json"], "base"),
+        (["sum", "z2_regular.presheaf.json", "z2_regular.copresheaf.json"], "variance"),
+        (["unit", "z2_single.copresheaf.json"], "variant"),
+        (["yoneda-check", "z2_single.copresheaf.json", "*"], "variant"),
+        (["adjunction-check", "z2_regular.copresheaf.json", "z2_regular.copresheaf.json"], "variant"),
+        (["adjunction-check", "z2_regular.presheaf.json", "z2_regular.presheaf.json"], "variant"),
+        (["adjunction-check", "z2_regular.presheaf.json", "arrow_point.copresheaf.json"], "base"),
+        (["yoneda", "z2.category.json", "nope"], "unknown object"),
+        (["yoneda-check", "z2_regular.presheaf.json", "nope"], "unknown object"),
+        (["yoneda", "empty.category.json", "nope"], "unknown object"),
+        (["yoneda-check", "empty.presheaf.json", "nope"], "unknown object"),
+        (["tripod", "two_point.metric.json"], "tripod"),
+        (["tripod", "random5.metric.json"], "tripod"),
+        (["project", "two_point.metric.json", "1", "2", "3"], "values"),
+        (["geodesic-check", "two_point.metric.json", "1"], "values"),
+    ],
+)
+def test_arguments_that_do_not_fit_are_usage_errors(capsys, tmp_path, argv, keyword):
+    """Functors over different bases or of the wrong variance, an unknown
+    object (also in a category without objects), a tripod on other than
+    three points and a function with the wrong number of values: exit 2
+    with one diagnostic line and no report."""
+    (tmp_path / "empty.category.json").write_text(json.dumps(EMPTY_CATEGORY))
+    (tmp_path / "empty.presheaf.json").write_text(json.dumps(EMPTY_PRESHEAF))
+    subcommand, *rest = argv
+    paths = [str(tmp_path / a) if a.startswith("empty.") else fx(a) if a.endswith(".json") else a for a in rest]
+    code, out, err = run(capsys, subcommand, *paths)
+    assert (code, out) == (2, "")
+    assert err.startswith("catspan: error: ") and err.count("\n") == 1, err
+    assert "internal error" not in err and keyword in err, err
