@@ -18,6 +18,7 @@ _EXPORTS = {
         "DEFAULT_TOL",
         "Budget",
         "BudgetExceeded",
+        "InputError",
         "StructuralError",
         "UnknownObjectError",
     ),

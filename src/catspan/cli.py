@@ -7,6 +7,9 @@ time is therefore shown only in text mode. Exit codes: 0 the operation
 succeeded and the checked property holds, 1 a law or property was
 violated (the report carries a witness), 2 usage, parse, or budget
 errors, and any unexpected internal error (one line on stderr).
+
+The library decides which arguments fit an operation and raises
+``InputError`` or ``UnknownObjectError``; a handler does not check again.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from pathlib import Path
 
 from .core import (
     CONTRAVARIANT,
-    COVARIANT,
     DEFAULT_BUDGET,
     DEFAULT_TOL,
     Budget,
     BudgetExceeded,
+    InputError,
     StructuralError,
     UnknownObjectError,
 )
@@ -49,10 +52,6 @@ from .fileformat import (
 # or more and for sampling jobs of SAMPLE_NUMPY_WORK or more.
 
 
-class InputError(Exception):
-    """User input that cannot be processed (usage-level, exit 2)."""
-
-
 def _nat_to_dict(t) -> dict:
     return {obj: t.component(obj).mapping for obj in t.source.base.objects}
 
@@ -64,20 +63,6 @@ def _load_functor_checked(path: str):
         return load_functor(path)
     except FunctorLawError as exc:
         raise InputError(f"{path}: {exc}; run validate-fun for details") from None
-
-
-def _load_parallel(left_path: str, right_path: str):
-    left, right = _load_functor_checked(left_path), _load_functor_checked(right_path)
-    if left.base != right.base:
-        raise InputError("the two functors live over different base categories")
-    if left.variance != right.variance:
-        raise InputError("the two functors have different variance")
-    return left, right
-
-
-def _require_variance(functor, variance: str, path: str, subcommand: str):
-    if functor.variance != variance:
-        raise InputError(f"{path}: {subcommand} expects a {VARIANCE_NAMES[variance]}-variant functor")
 
 
 def _load_valid_metric(path: str, tol: float):
@@ -105,8 +90,6 @@ def _sample(space, count: int, args):
 def _parse_values(space, raw_values: list[float], path: str):
     from .tightspan import DistanceFunction
 
-    if len(raw_values) != len(space.points):
-        raise InputError(f"{path} has {len(space.points)} points but {len(raw_values)} values were given")
     try:
         return DistanceFunction(space, raw_values)
     except ValueError as exc:
@@ -158,7 +141,7 @@ def _cmd_hom(args, budget):
 def _cmd_nat(args, budget):
     from .setfunc import enumerate_nat
 
-    left, right = _load_parallel(args.source, args.target)
+    left, right = _load_functor_checked(args.source), _load_functor_checked(args.target)
     nats = enumerate_nat(left, right, budget)
     return True, {
         "count": len(nats),
@@ -170,8 +153,6 @@ def _cmd_yoneda(args, budget):
     from .setfunc import yoneda
 
     category = load_lawful_category(args.file)
-    if args.object not in category.objects:
-        raise InputError(f"unknown object {args.object!r}")
     functor = yoneda(category, args.object)
     return True, {
         "object": args.object,
@@ -183,9 +164,6 @@ def _cmd_yoneda_check(args, budget):
     from .setfunc import yoneda_lemma_bijection
 
     functor = _load_functor_checked(args.file)
-    _require_variance(functor, CONTRAVARIANT, args.file, "yoneda-check")
-    if args.object not in functor.base.objects:
-        raise InputError(f"unknown object {args.object!r}")
     witness = yoneda_lemma_bijection(functor, args.object, budget)
     counts_equal = len(witness.transformations) == len(functor.at(args.object))
     return counts_equal, {
@@ -202,7 +180,7 @@ def _cmd_yoneda_check(args, budget):
 def _cmd_sum(args, budget):
     from .setfunc import pointwise_sum
 
-    left, right = _load_parallel(args.left, args.right)
+    left, right = _load_functor_checked(args.left), _load_functor_checked(args.right)
     total = pointwise_sum(left, right)
     return True, {"functor": functor_to_dict(total)}
 
@@ -232,10 +210,6 @@ def _cmd_adjunction_check(args, budget):
 
     presheaf = _load_functor_checked(args.presheaf)
     copresheaf = _load_functor_checked(args.copresheaf)
-    _require_variance(presheaf, CONTRAVARIANT, args.presheaf, "adjunction-check")
-    _require_variance(copresheaf, COVARIANT, args.copresheaf, "adjunction-check")
-    if presheaf.base != copresheaf.base:
-        raise InputError("the two functors live over different base categories")
     witness = adjunction_transpose(presheaf, copresheaf, budget)
     counts_equal = len(witness.left_homset) == len(witness.right_homset)
     return counts_equal, {
@@ -254,7 +228,6 @@ def _cmd_unit(args, budget):
     from .setfunc import is_natural_iso
 
     functor = _load_functor_checked(args.file)
-    _require_variance(functor, CONTRAVARIANT, args.file, "unit")
     comparison = unit(functor, budget)
     return True, {
         "components": _nat_to_dict(comparison),
@@ -296,8 +269,6 @@ def _cmd_tripod(args, budget):
     from .tightspan import extremality_defect, tripod
 
     space = _load_valid_metric(args.file, args.tol)
-    if len(space.points) != 3:
-        raise InputError(f"tripod needs a 3-point metric, {args.file} has {len(space.points)} points")
     result = tripod(space)
     return True, {
         "legs": list(result.legs),

@@ -1,7 +1,6 @@
 """The names every part of catspan shares: the immutable record base, the
 enumeration budget, the metric tolerance default, the variance constants,
-and the two structural errors that the command line reports as usage
-errors.
+and the three errors that the command line reports as usage errors.
 
 This module imports nothing from catspan, so that a command loads only the
 modules it runs: the metric subcommands need ``Frozen`` and the budget but
@@ -28,6 +27,11 @@ class StructuralError(ValueError):
 
 class UnknownObjectError(ValueError):
     pass
+
+
+class InputError(ValueError):
+    """Arguments that do not fit the operation given them, such as functors
+    over different bases; the library raises it, the command line exits 2."""
 
 
 class BudgetExceeded(RuntimeError):

@@ -18,7 +18,9 @@ order (``rows``) and a slots -> position ``index`` over the same tuples.
 The conjugate's action, conjugate_transform and the transpose read only
 these; ``evaluation_tables`` builds the transformations on read.
 One transpose routine serves both directions of the adjunction, and the
-unit is the transpose of the identity of the conjugate.
+unit is the transpose of the identity of the conjugate. A transpose is
+accepted by finding its slots in the enumerated hom-set, whose entries are
+all natural; the unit, which no table lists, is checked once.
 
 Actions are computed on the generating morphisms of the base
 (``fincat.generators``) only: the conjugate's action, and each candidate
@@ -39,6 +41,7 @@ from .setfunc import (
     Bijection,
     Budget,
     FinSet,
+    InputError,
     NatTransformation,
     SetFunction,
     SetValuedFunctor,
@@ -111,7 +114,7 @@ def conjugate_presheaf(presheaf: SetValuedFunctor, budget: Budget | None = None)
     enumeration order; a morphism acts by postcomposition with the induced
     transformation between representables."""
     if presheaf.variance != CONTRAVARIANT:
-        raise ValueError("presheaf conjugation needs a contravariant functor")
+        raise InputError("presheaf conjugation needs a contravariant functor")
     return _conjugate(presheaf, Budget.coerce(budget))
 
 
@@ -122,7 +125,7 @@ def conjugate_copresheaf(copresheaf: SetValuedFunctor, budget: Budget | None = N
     Computed as dual((dual G)*), whose rows and index are G*'s: a slot
     tuple into y_{C^op}(X) is the same tuple into z(X)."""
     if copresheaf.variance != COVARIANT:
-        raise ValueError("copresheaf conjugation needs a covariant functor")
+        raise InputError("copresheaf conjugation needs a covariant functor")
     over_op = _conjugate(dual(copresheaf), Budget.coerce(budget))
     return ConjugatePair(copresheaf, dual(over_op.conjugate), over_op.rows, over_op.index)
 
@@ -157,9 +160,9 @@ class AdjunctionWitness(Frozen):
     )
 
 
-def _transpose(h: NatTransformation, pair: ConjugatePair, other_pair: ConjugatePair) -> NatTransformation:
-    """The transpose F => G* of h: G => F*, where pair is (F, F*) and
-    other_pair is (G, G*).
+def _transpose(h: NatTransformation, pair: ConjugatePair, other_pair: ConjugatePair) -> tuple[int, ...]:
+    """The slots of the transpose F => G* of h: G => F*, where pair is
+    (F, F*) and other_pair is (G, G*).
 
     Through the pairing p(X, Y)(s, t) = alpha_X(s), where alpha realizes
     h_Y(t), curried in the first variable: the curried transformation of s
@@ -174,20 +177,21 @@ def _transpose(h: NatTransformation, pair: ConjugatePair, other_pair: ConjugateP
     # The realizer alpha of each slot of h, in h's slot order; the curried
     # transformation of the element at slot k of F reads slot k of each.
     realizers = [rows[y][i] for y in objects for i in h.slots[g.block(y)]]
-    slots = tuple(
+    return tuple(
         _locate(other_pair.index, x, tuple(alpha[k] for alpha in realizers))
         for x in objects
         for k in range(f.first[x], f.first[x] + len(f.at(x)))
     )
-    return NatTransformation._checked(f, other_pair.conjugate, slots)
 
 
 def _transposes(homset, pair: ConjugatePair, other_pair: ConjugatePair, targets) -> tuple[int, ...]:
-    """The position in ``targets`` of the transpose of each entry of ``homset``."""
+    """The position in ``targets`` of the transpose of each entry of
+    ``homset``. Every enumerated entry is natural, so finding a transpose
+    among them is its naturality check; a miss raises."""
     index = {t.slots: i for i, t in enumerate(targets)}
     images = []
     for h in homset:
-        i = index.get(_transpose(h, pair, other_pair).slots)
+        i = index.get(_transpose(h, pair, other_pair))
         if i is None:
             raise RuntimeError("transpose produced a transformation outside the enumerated hom-set")
         images.append(i)
@@ -202,9 +206,9 @@ def adjunction_transpose(
     """Compute both hom-sets of the adjunction and the transpose between
     them, verifying every round trip element by element."""
     if presheaf.variance != CONTRAVARIANT or copresheaf.variance != COVARIANT:
-        raise ValueError("adjunction needs a contravariant and a covariant functor")
+        raise InputError("adjunction needs a contravariant and a covariant functor")
     if presheaf.base != copresheaf.base:
-        raise ValueError("functors live over different base categories")
+        raise InputError("functors live over different base categories")
     b = Budget.coerce(budget)
 
     presheaf_pair = conjugate_presheaf(presheaf, b)
@@ -237,10 +241,11 @@ def unit(presheaf: SetValuedFunctor, budget: Budget | None = None) -> NatTransfo
 
     At an object X, a value s is sent to the transformation from the
     conjugate into z(X) that evaluates each realizing alpha at s; the
-    result is located in the double conjugate's evaluation table.
+    result is located in the double conjugate's evaluation table, and its
+    naturality is checked once.
     """
     star, dstar = double_conjugate(presheaf, budget)
-    return _transpose(identity_nat(star.conjugate), star, dstar)
+    return NatTransformation._checked(presheaf, dstar.conjugate, _transpose(identity_nat(star.conjugate), star, dstar))
 
 
 class ReflexiveVerdict(Frozen):

@@ -34,8 +34,8 @@ from functools import cached_property
 from itertools import chain
 from operator import add, itemgetter
 
-# The budget and the variance constants are defined in the leaf module
-# ``core`` and re-exported here.
+# The budget, the variance constants and InputError are defined in the
+# leaf module ``core`` and re-exported here.
 from .core import (
     CONTRAVARIANT,
     COVARIANT,
@@ -43,6 +43,7 @@ from .core import (
     Budget,
     BudgetExceeded,
     Frozen,
+    InputError,
     StructuralError,
 )
 from .fincat import FinCategory, generators, opposite
@@ -307,9 +308,9 @@ def _composite(second: tuple[int, ...], offsets: list[int], first: tuple[int, ..
 
 def _require_parallel(source: SetValuedFunctor, target: SetValuedFunctor) -> None:
     if source.base != target.base:
-        raise ValueError("functors live over different base categories")
+        raise InputError("functors live over different base categories")
     if source.variance != target.variance:
-        raise ValueError("functors have different variance")
+        raise InputError("functors have different variance")
 
 
 def naturality_witness(t: NatTransformation) -> tuple[str, str] | None:
@@ -521,6 +522,7 @@ def from_generators(
 @_per_category
 def yoneda(category: FinCategory, obj: str) -> SetValuedFunctor:
     """The representable presheaf of morphisms into ``obj``."""
+    category.identity_of(obj)  # an unknown object raises, also in a category without objects
     on_objects = {a: FinSet(tuple(category.hom_set(a, obj))) for a in category.objects}
     images = []
     for m in map(category.morphism, generators(category)[0]):
@@ -593,7 +595,7 @@ def yoneda_lemma_bijection(
     Both round trips are verified.
     """
     if presheaf.variance != CONTRAVARIANT:
-        raise ValueError("the representable comparison needs a contravariant functor")
+        raise InputError("the representable comparison needs a contravariant functor")
     base = presheaf.base
     hom_into = yoneda(base, obj)
     nats = enumerate_nat(hom_into, presheaf, budget)

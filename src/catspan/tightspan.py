@@ -36,7 +36,7 @@ import sys
 from itertools import repeat
 from operator import add, index, sub
 
-from .core import DEFAULT_TOL, Frozen  # DEFAULT_TOL is re-exported
+from .core import DEFAULT_TOL, Frozen, InputError  # DEFAULT_TOL is re-exported
 
 WITNESS_TOL = 1e-6
 # The tolerance floor, in float spacings of the largest entry: above the few
@@ -424,7 +424,7 @@ def tripod(space: FiniteMetricSpace) -> TripodResult:
     distances exactly. A leg is clamped at 0: a metric valid within tol can
     make it as low as -tol / 2."""
     if len(space.points) != 3:
-        raise ValueError(f"tripod needs exactly 3 points, got {len(space.points)}")
+        raise InputError(f"tripod needs exactly 3 points, got {len(space.points)}")
     d = space.dist
     legs = (
         max(0.0, (d[0][1] + d[0][2] - d[1][2]) / 2.0),

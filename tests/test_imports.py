@@ -141,12 +141,14 @@ core, fincat, setfunc = catspan.core, catspan.fincat, catspan.setfunc
 assert FinCategory is fincat.FinCategory and enumerate_nat is setfunc.enumerate_nat
 assert Budget is core.Budget is setfunc.Budget
 assert core.StructuralError is fincat.StructuralError and core.Frozen is fincat.Frozen is setfunc.Frozen
+import catspan.cli as cli
+assert core.InputError is cli.InputError is setfunc.InputError
 print(sorted(name for module in ("core", "fincat", "setfunc") for name in catspan._EXPORTS[module]
              if getattr(catspan, name) is getattr(getattr(catspan, module), name)))
 """
     names = [name for module in ("core", "fincat", "setfunc") for name in catspan._EXPORTS[module]]
     assert run_python(script).strip() == str(sorted(names))
-    assert len(names) == 40
+    assert len(names) == 41
 
 
 def test_tightspan_names_resolve_on_first_use():

@@ -5,9 +5,11 @@ from catspan import (
     COVARIANT,
     Budget,
     BudgetExceeded,
+    FinCategory,
     FinSet,
     FunctorLawError,
     SetFunction,
+    UnknownObjectError,
     compose_nat,
     coyoneda,
     coyoneda_on_morphism,
@@ -239,6 +241,17 @@ def test_coyoneda_walking_arrow(categories):
 def test_coyoneda_z2_action_is_left_multiplication(categories):
     z = coyoneda(categories["z2"], "*")
     assert z.act("s").mapping == {"e": "s", "s": "e"}
+
+
+@pytest.mark.parametrize("representable", [yoneda, coyoneda])
+def test_representable_of_an_unknown_object_raises(categories, representable):
+    """Also over a category without objects, where no hom-set is read, and
+    nothing is memoised for the unknown object."""
+    empty = FinCategory(objects=(), morphisms=(), identity={}, table={})
+    for category in (categories["z2"], empty):
+        for _ in range(2):
+            with pytest.raises(UnknownObjectError, match="'X'"):
+                representable(category, "X")
 
 
 def test_yoneda_on_identity_is_identity(categories):
