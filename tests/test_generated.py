@@ -10,8 +10,9 @@ so a composite is often declared before its factors. The properties check
 ``from_generators`` against ``validate_functor``, and ``enumerate_nat``
 and ``reflexive_scan`` against the unpruned oracles.
 Over representables and their sums they check the Yoneda count, the
-adjunction's transpose, the reflexivity of representables and the
-triangle identity of the conjugation adjunction; over scanned functors,
+adjunction's transpose, the reflexivity of representables and of their
+retracts along idempotents, and the triangle identity of the conjugation
+adjunction; over scanned functors,
 that reflexivity is invariant under isomorphism and that the scan
 compares once per isomorphism class, with the verdict of a direct
 comparison. Over C and C^op, both conjugates' evaluation tables list the
@@ -375,6 +376,47 @@ def test_adjunction_hom_sets_are_in_bijection(category, data):
 def test_representables_are_reflexive(category):
     for obj in category.objects:
         assert is_natural_iso(unit(yoneda(category, obj))), obj
+
+
+def retract(category: FinCategory, e: str):
+    """The retract e.y(X) of the representable at X = tgt(e), for an
+    idempotent e: the morphisms h into X with e . h = h, acting by
+    precomposition, built here from the table and checked as outside
+    input."""
+    x = category.morphism(e).tgt
+    fixed = {a: [h for h in category.hom_set(a, x) if category.table[(e, h)] == h] for a in category.objects}
+    on_morphisms = {u.label: {h: category.table[(h, u.label)] for h in fixed[u.tgt]} for u in category.morphisms}
+    return validate_functor(category, CONTRAVARIANT, fixed, on_morphisms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(categories)
+def test_retracts_of_representables_are_reflexive(category):
+    """The reflexive completion contains the Cauchy completion (Avery &
+    Leinster, TAC 36, 2021): for every idempotent e at X other than the
+    identity, the retract e.y(X) is reflexive."""
+    for m in category.morphisms:
+        e = m.label
+        if m.src == m.tgt and not category.is_identity(e) and category.table[(e, e)] == e:
+            assert is_natural_iso(unit(retract(category, e))), e
+
+
+def test_the_reflexive_presheaves_of_an_idempotent_monoid():
+    """On the monoid {1, e} with e . e = e, of the 15 presheaves with value
+    sets of at most three elements exactly three are reflexive: the retract
+    e.y(*), a point, and the two labellings of y(*)."""
+    monoid = FinCategory(
+        objects=("*",),
+        morphisms=(Morphism("1", "*", "*"), Morphism("e", "*", "*")),
+        identity={"*": "1"},
+        table={("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"},
+    )
+    verdicts = reflexive_scan(monoid, 3)
+    reflexive = [v for v in verdicts if v.reflexive]
+    assert len(verdicts) == 15
+    assert [v.description for v in reflexive] == ["*=1; e:[x0>x0]", "*=2; e:[x0>x0,x1>x0]", "*=2; e:[x0>x1,x1>x1]"]
+    assert iso_check(retract(monoid, "e"), reflexive[0].functor) is not None
+    assert all(iso_check(yoneda(monoid, "*"), v.functor) is not None for v in reflexive[1:])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
