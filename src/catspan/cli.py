@@ -87,7 +87,7 @@ def _sample(space, count: int, args):
         raise InputError(f"{args.file}: {exc}") from None
 
 
-def _parse_values(space, raw_values: list[float], path: str):
+def _parse_values(space, raw_values: list[float]):
     from .tightspan import DistanceFunction
 
     try:
@@ -281,7 +281,7 @@ def _cmd_project(args, budget):
     from .tightspan import InadmissibleError, ProjectionError, extremal_project, extremality_defect
 
     space = _load_valid_metric(args.file, args.tol)
-    f = _parse_values(space, args.values, args.file)
+    f = _parse_values(space, args.values)
     try:
         g = extremal_project(f)
     except InadmissibleError as exc:
@@ -311,7 +311,7 @@ def _cmd_geodesic_check(args, budget):
 
     space = _load_valid_metric(args.file, args.tol)
     if args.values:
-        f = _parse_values(space, args.values, args.file)
+        f = _parse_values(space, args.values)
         report = extremality_defect(f)
         if report.defect > space.tol:
             return False, {
