@@ -138,10 +138,10 @@ def workdir(tmp_path_factory):
     of the 5 a small command takes)."""
     target = tmp_path_factory.mktemp("mutants") / "fixtures"
     shutil.copytree(FIXTURES, target)
-    build_parser, parser = cli.build_parser, cli.build_parser()
-    cli.build_parser = lambda: parser
-    yield target
-    cli.build_parser = build_parser
+    parser = cli.build_parser()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda: parser)
+        yield target
 
 
 def _check_contract(workdir, kind: str, mutant: tuple[str, str], partner: str) -> None:
