@@ -19,14 +19,14 @@ NUMPY_FROM points: the triangle check of validate_metric, one n x n numpy
 comparison per row, and the averaging rounds of extremal_project. Below
 that size importing numpy costs more than the work, so a command on a
 small metric never imports it; the triangle check also runs in numpy
-wherever numpy is loaded already. A seed's samples are those that numpy's
-default generator (PCG64 seeded by SeedSequence) gives for it, drawn bit
-for bit by this module's own stream, so sample_tight_span imports numpy
-only to project a job of SAMPLE_NUMPY_WORK or more, and numpy's random
-module never. Both kernels of a pair round every sum in the same order and
-so return the same bits. Projection checks admissibility once on entry,
-then follows only the O(n^2) gap per round, since averaging an admissible
-function with its conjugate stays admissible.
+wherever numpy is loaded already. A seed's samples are drawn from Python's
+random.Random(seed), whose sequence Python keeps across versions, so
+sample_tight_span imports numpy only to project a job of SAMPLE_NUMPY_WORK
+or more, and numpy's random module never. Both kernels of a pair round
+every sum in the same order and so return the same bits. Projection checks
+admissibility once on entry, then follows only the O(n^2) gap per round,
+since averaging an admissible function with its conjugate stays
+admissible.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def _same_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> bool:
 
 class DistanceFunction(Frozen):
     """A candidate point of the tight span: its nonnegative distance to
-    every point, at most 2 * MAX_DISTANCE, as a tuple of floats. Compared
-    by identity."""
+    every point, at most 2 * MAX_DISTANCE, as a tuple of floats. Values
+    that do not fit the space raise InputError. Compared by identity."""
 
     __slots__ = _fields = ("space", "values")
     __eq__ = object.__eq__
@@ -158,13 +158,13 @@ class DistanceFunction(Frozen):
     def __init__(self, space: FiniteMetricSpace, values):
         values = tuple(map(float, values))
         if len(values) != len(space.points):
-            raise ValueError(f"expected {len(space.points)} values, got {len(values)}")
+            raise InputError(f"expected {len(space.points)} values, got {len(values)}")
         if not all(map(math.isfinite, values)):
-            raise ValueError("distance values must be finite")
+            raise InputError("distance values must be finite")
         if values and min(values) < 0.0:
-            raise ValueError("distance values must be nonnegative")
+            raise InputError("distance values must be nonnegative")
         if values and max(values) > 2 * MAX_DISTANCE:
-            raise ValueError(f"distance values must be at most {2 * MAX_DISTANCE:.6g}")
+            raise InputError(f"distance values must be at most {2 * MAX_DISTANCE:.6g}")
         super().__init__(space, values)
 
     def value(self, point: str) -> float:
@@ -181,18 +181,21 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     largest entry of magnitude at most MAX_DISTANCE, so that it scales with
     the distances once they are large; the returned space carries it.
 
-    Shape mismatches raise ValueError; axiom failures raise MetricError
-    carrying every violation with a witness tuple. Non-finite entries come
-    first, as axiom ``finite`` with their (row, column) points, and finite
-    entries above MAX_DISTANCE next, as ``oversized-entry``; then
-    ``negative-entry`` in row-major order, ``nonzero-diagonal``, per pair
-    i < j ``asymmetry`` before ``zero-distance``, and ``triangle`` in
-    (i, j, k) order.
+    A NaN, infinite or negative ``tol`` raises InputError: a NaN one would
+    pass every comparison. Shape mismatches raise ValueError; axiom
+    failures raise MetricError carrying every violation with a witness
+    tuple. Non-finite entries come first, as axiom ``finite`` with their
+    (row, column) points, and finite entries above MAX_DISTANCE next, as
+    ``oversized-entry``; then ``negative-entry`` in row-major order,
+    ``nonzero-diagonal``, per pair i < j ``asymmetry`` before
+    ``zero-distance``, and ``triangle`` in (i, j, k) order.
 
     Every axiom but the triangle is O(n^2) in Python. The triangle compares
     all n^3 triples, in Python below NUMPY_FROM points and in numpy from
     there on: n = 200 takes tens of milliseconds.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"tolerance must be finite and nonnegative, got {tol}")
     labels = tuple(points)
     n = len(labels)
     d = tuple(tuple(map(float, row)) for row in matrix)
@@ -434,128 +437,17 @@ def tripod(space: FiniteMetricSpace) -> TripodResult:
     return TripodResult(legs, DistanceFunction(space, legs))
 
 
-# The draws of numpy's default generator for a seed that sampling makes, in
-# plain Python: SeedSequence's hash of the seed into PCG64's 128-bit state and
-# stream, PCG64's steps (a 128-bit LCG with the XSL-RR output; O'Neill,
-# HMC-CS-2014-0905), and Generator.integers and Generator.uniform on top.
-_MASK32 = (1 << 32) - 1
-_MASK53 = (1 << 53) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG_MULTIPLIER = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-# x * _DOUBLED is x << 64 | x for a 64-bit x, so its bits r to r + 63 are x
-# rotated right by r.
-_DOUBLED = (1 << 64) + 1
-
-
-def _seed_sequence(seed: int) -> tuple[int, int]:
-    """PCG64's initial state and stream from a nonnegative int seed, as
-    numpy's SeedSequence(seed).generate_state(4, uint64) gives them:
-    the seed's 32-bit words hashed into a pool of four, which is hashed
-    out into eight words, read as four little-endian 64-bit words."""
-    seed = index(seed)
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    entropy = [seed & _MASK32]
-    while seed := seed >> 32:
-        entropy.append(seed & _MASK32)
-    hash_const = 0x43B0_D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E_8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (0xCA01_F9DD * x - 0x4973_F715 * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[4:]:
-        for i_dst in range(4):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-    words = []
-    hash_const = 0x8B51_F9DD
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F3_8DED & _MASK32
-        value = value * hash_const & _MASK32
-        words.append(value ^ value >> 16)
-    s0, s1, i0, i1 = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
-    return s0 << 64 | s1, i0 << 64 | i1
-
-
-class _Stream:
-    """The draws of numpy's default generator for ``seed``, bit for bit,
-    as far as sampling uses them. ``upper`` holds the high half of a 64-bit
-    draw that a 32-bit draw left over, as PCG64 keeps it for the next
-    32-bit draw."""
-
-    __slots__ = ("state", "inc", "upper")
-
-    def __init__(self, seed: int):
-        initstate, initseq = _seed_sequence(seed)
-        self.inc = (initseq << 1 | 1) & _MASK128
-        # From state 0: one step, which gives inc, add initstate, one step.
-        self.state = ((self.inc + initstate) * _PCG_MULTIPLIER + self.inc) & _MASK128
-        self.upper = None
-
-    def next64(self) -> int:
-        s = self.state = (self.state * _PCG_MULTIPLIER + self.inc) & _MASK128
-        return ((s >> 64 ^ s) & _MASK64) * _DOUBLED >> (s >> 122) & _MASK64
-
-    def next32(self) -> int:
-        if self.upper is not None:
-            x, self.upper = self.upper, None
-            return x
-        x = self.next64()
-        self.upper = x >> 32
-        return x & _MASK32
-
-    def integers(self, n: int) -> int:
-        """Generator.integers(n) for 1 <= n <= 2**63: Lemire's bounded
-        method on 32-bit draws while n - 1 fits in 32 bits, on 64-bit draws
-        beyond; a plain 32-bit draw for n = 2**32, and no draw for n = 1."""
-        if n == 1:
-            return 0
-        if n == 1 << 32:
-            return self.next32()
-        bits, mask, draw = (32, _MASK32, self.next32) if n < 1 << 32 else (64, _MASK64, self.next64)
-        m = draw() * n
-        if m & mask < n:
-            threshold = (1 << bits) % n
-            while m & mask < threshold:
-                m = draw() * n
-        return m >> bits
-
-    def uniform(self, high: float, size: int) -> list[float]:
-        """``size`` draws of Generator.uniform(0.0, high) for a finite
-        high > 0, each 0.0 + high * ((next64 >> 11) * 2**-53), with
-        next64 written out in the loop. Adding 0.0 to the nonnegative
-        product changes no bit."""
-        s, inc, draws = self.state, self.inc, []
-        for _ in range(size):
-            s = (s * _PCG_MULTIPLIER + inc) & _MASK128
-            top = ((s >> 64 ^ s) & _MASK64) * _DOUBLED >> (s >> 122) + 11 & _MASK53
-            draws.append(high * (top * 2.0**-53))
-        self.state = s
-        return draws
-
-
 def sample_tight_span(space: FiniteMetricSpace, count: int, seed: int) -> list[DistanceFunction]:
     """Deterministically seeded extremal samples: an embedded point plus a
     nonnegative per-coordinate perturbation (admissible by construction),
-    projected onto the extremal set. A seed's samples are those of numpy's
-    default generator for it, drawn by _Stream without numpy. The starts are
-    projected in Python below NUMPY_FROM points while count * n * n is below
-    SAMPLE_NUMPY_WORK, and by the numpy kernel otherwise; the two return
-    the same bits, so numpy is imported only for jobs that pay for it."""
+    projected onto the extremal set. Every draw is r =
+    random.Random(seed).random(), whose sequence for an int seed Python
+    keeps across versions (the random module's notes on reproducibility):
+    the anchor row is int(n * r), exact for n below 2**53, and each
+    perturbation is diameter * r. The starts are projected in Python below
+    NUMPY_FROM points while count * n * n is below SAMPLE_NUMPY_WORK, and by
+    the numpy kernel otherwise; the two return the same bits, so numpy is
+    imported only for jobs that pay for it."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
@@ -563,7 +455,14 @@ def sample_tight_span(space: FiniteMetricSpace, count: int, seed: int) -> list[D
     n = len(space.points)
     if n == 0:
         raise ValueError("cannot sample from an empty space")
-    stream = _Stream(seed)
+    seed = index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    # Imported here, as numpy is below: a command that samples nothing does
+    # not load it.
+    import random
+
+    draw = random.Random(seed).random
     if n < NUMPY_FROM and count * n * n < SAMPLE_NUMPY_WORK:
         project = _project
     else:
@@ -577,8 +476,8 @@ def sample_tight_span(space: FiniteMetricSpace, count: int, seed: int) -> list[D
     diameter = space.diameter
     samples = []
     for _ in range(count):
-        row = space.dist[stream.integers(n)]
+        row = space.dist[int(n * draw())]
         # With a diameter of 0 nothing is drawn; adding 0.0 still makes -0.0 into 0.0.
-        perturbation = stream.uniform(diameter, n) if diameter > 0 else repeat(0.0)
+        perturbation = [diameter * draw() for _ in range(n)] if diameter > 0 else repeat(0.0)
         samples.append(project(DistanceFunction(space, map(add, row, perturbation))))
     return samples

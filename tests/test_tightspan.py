@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from catspan import (
     DistanceFunction,
     InadmissibleError,
+    InputError,
     MetricError,
     NoWitnessError,
     ProjectionError,
@@ -165,6 +166,14 @@ def test_violations_match_loop_oracle_on_planted_l1_cloud():
     violations = _violations(labels, d)
     assert violations and {axiom for axiom, _ in violations} == {"triangle"}
     assert violations == brute_force_metric_violations(labels, d, TOL)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    # d(a, c) = 5 > d(a, b) + d(b, c) = 2, yet a NaN tolerance passes every
+    # comparison and would report the matrix a metric.
+    with pytest.raises(InputError, match="tolerance"):
+        validate_metric(["a", "b", "c"], [[0, 1, 5], [1, 0, 1], [5, 1, 0]], tol)
 
 
 def test_metric_error_message_is_bounded():
@@ -472,62 +481,27 @@ def test_projection_nonexpansive_on_samples(metrics):
         )
 
 
-# ---------------------------------------------------------- the stream
-# Sampling draws numpy.random.default_rng(seed)'s values from tightspan's
-# own PCG64 stream, which must match numpy's bit for bit.
-
-SEEDS = st.one_of(
-    st.integers(0, 2**16),
-    st.integers(0, 2**140),
-    st.sampled_from([2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**127, 2**128, 2**128 + 1, 2**200 + 11]),
-)
-# Bounds at the edges of Lemire's method: 1 draws nothing, 2**32 takes a
-# plain 32-bit draw, and from 2**32 + 1 on the draws are 64-bit.
-BOUNDS = st.one_of(
-    st.integers(1, 200),
-    st.sampled_from([1, 2, 3, 2**31 + 17, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63]),
-    st.integers(1, 2**63),
-)
-CALLS = st.lists(
-    st.one_of(
-        st.tuples(st.just("integers"), BOUNDS),
-        st.tuples(st.just("uniform"), st.floats(5e-324, MAX_DISTANCE), st.integers(1, 60)),
-    ),
-    max_size=12,
-)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(SEEDS, CALLS)
-@example(0, [("integers", 5), ("uniform", 2.5, 5), ("integers", 5), ("uniform", 2.5, 5)])
-def test_stream_matches_numpy_default_rng(seed, calls):
-    numpy_rng, stream = np.random.default_rng(seed), tightspan._Stream(seed)
-    for call in calls:
-        if call[0] == "integers":
-            assert stream.integers(call[1]) == int(numpy_rng.integers(call[1])), call
-        else:
-            _, high, size = call
-            expected = numpy_rng.uniform(0.0, high, size=size).tolist()
-            assert [x.hex() for x in stream.uniform(high, size)] == [x.hex() for x in expected], call
+# ---------------------------------------------------------- sampling
+# Sampling draws from random.Random(seed): the anchor row int(n * r), then
+# a perturbation diameter * r per point.
 
 
 def test_negative_seed_is_rejected(metrics):
     with pytest.raises(ValueError):
         sample_tight_span(metrics["two_point"], 1, seed=-1)
-    with pytest.raises(ValueError):
-        np.random.default_rng(-1)
 
 
 def _numpy_samples(space, count, seed):
-    """sample_tight_span's samples drawn by numpy's default_rng and
-    projected by the numpy kernel."""
-    rng = np.random.default_rng(seed)
+    """sample_tight_span's samples written out independently: the draws of
+    random.Random(seed), added to the anchor row in numpy and projected by
+    the numpy kernel."""
+    draw = random.Random(seed).random
     d = np.array(space.dist, dtype=float)
     n = len(space.points)
     samples = []
     for _ in range(count):
-        anchor = int(rng.integers(n))
-        perturbation = rng.uniform(0.0, space.diameter, size=n) if space.diameter > 0 else np.zeros(n)
+        anchor = int(n * draw())
+        perturbation = np.array([draw() for _ in range(n)]) * space.diameter if space.diameter > 0 else np.zeros(n)
         samples.append(tightspan._project_numpy(DistanceFunction(space, (d[anchor] + perturbation).tolist()), d))
     return samples
 
@@ -535,6 +509,9 @@ def _numpy_samples(space, count, seed):
 @pytest.mark.parametrize("n, count", [(1, 3), (5, 3), (30, None), (NUMPY_FROM - 1, 1), (NUMPY_FROM, 1)])
 @pytest.mark.parametrize("seed", [0, 2**130 + 7], ids=["seed-0", "seed-2^130+7"])
 def test_samples_are_numpys_whichever_kernel_projects(monkeypatch, n, count, seed):
+    """The samples have the bits of the numpy kernel's (``_numpy_samples``)
+    whichever kernel projects them, and the kernel is the one that
+    NUMPY_FROM and SAMPLE_NUMPY_WORK pick."""
     # At 30 points the counts fall just below and at SAMPLE_NUMPY_WORK.
     space = _admissible_start(n, seed % 97).space
     below = -(-tightspan.SAMPLE_NUMPY_WORK // (n * n)) - 1
@@ -551,8 +528,8 @@ def test_samples_are_numpys_whichever_kernel_projects(monkeypatch, n, count, see
         assert [[v.hex() for v in f.values] for f in samples] == values
 
 
-def test_one_point_samples_match_numpy():
-    # The diameter is 0, so nothing is drawn; the numpy sampler adds zeros,
+def test_one_point_samples_make_a_negative_zero_diagonal_zero():
+    # The diameter is -0.0, so nothing is drawn; the sampler adds zeros,
     # which makes a -0.0 on the diagonal into 0.0.
     space = validate_metric(["a"], [[-0.0]])
     expected = [[v.hex() for v in f.values] for f in _numpy_samples(space, 3, 5)]
