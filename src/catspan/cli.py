@@ -87,15 +87,6 @@ def _sample(space, count: int, args):
         raise InputError(f"{args.file}: {exc}") from None
 
 
-def _parse_values(space, raw_values: list[float]):
-    from .tightspan import DistanceFunction
-
-    try:
-        return DistanceFunction(space, raw_values)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
 # ---------------------------------------------------------------- handlers
 
 
@@ -278,10 +269,10 @@ def _cmd_tripod(args, budget):
 
 
 def _cmd_project(args, budget):
-    from .tightspan import InadmissibleError, ProjectionError, extremal_project, extremality_defect
+    from .tightspan import DistanceFunction, InadmissibleError, ProjectionError, extremal_project, extremality_defect
 
     space = _load_valid_metric(args.file, args.tol)
-    f = _parse_values(space, args.values)
+    f = DistanceFunction(space, args.values)
     try:
         g = extremal_project(f)
     except InadmissibleError as exc:
@@ -307,11 +298,11 @@ def _cmd_project(args, budget):
 
 
 def _cmd_geodesic_check(args, budget):
-    from .tightspan import NoWitnessError, extremality_defect, geodesic_witness
+    from .tightspan import DistanceFunction, NoWitnessError, extremality_defect, geodesic_witness
 
     space = _load_valid_metric(args.file, args.tol)
     if args.values:
-        f = _parse_values(space, args.values)
+        f = DistanceFunction(space, args.values)
         report = extremality_defect(f)
         if report.defect > space.tol:
             return False, {
@@ -485,11 +476,9 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.perf_counter()
     try:
-        if args.budget <= 0:
-            raise InputError("--budget must be positive")
+        budget = Budget(args.budget)
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise InputError("--tol must be positive and finite")
-        budget = Budget(args.budget)
         with recording_reads() as reads:
             ok, results = HANDLERS[args.subcommand](args, budget)
         report = {

@@ -47,7 +47,7 @@ class Budget:
 
     def __init__(self, cap: int = DEFAULT_BUDGET):
         if cap <= 0:
-            raise ValueError("budget cap must be positive")
+            raise InputError("budget cap must be positive")
         self.cap = int(cap)
         self.used = 0
 

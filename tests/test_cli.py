@@ -542,7 +542,7 @@ def test_non_positive_budget_is_a_usage_error(capsys, budget):
     code, out, err = run(capsys, "nat", fx("z2_regular.presheaf.json"), fx("z2_regular.presheaf.json"), "--budget", budget)
     assert code == 2
     assert out == ""
-    assert err == "catspan: error: --budget must be positive\n"
+    assert err == "catspan: error: budget cap must be positive\n"
 
 
 def test_output_flag_writes_file(capsys, tmp_path):
