@@ -5,10 +5,12 @@ An edit walks from the top of a document to a value and retypes, deletes,
 renames or duplicates it. Retyped values are drawn from atoms that broke
 the contract in the past: a value of another JSON type, among them long
 integer literals (one beyond the digit limit of ``int``, which
-``json.dumps`` cannot write), NaN, the infinities and 1e308. Every mutant is JSON as Python's
-``json`` module reads it. Whatever the mutant, a command exits 0, 1 or 2,
-never reports an internal error, leaves stdout empty when it exits 2, and
-never rejects the document as invalid JSON.
+``json.dumps`` cannot write), NaN, the infinities, 1e308 and an array
+nested 100,000 deep. Every mutant without that nesting is JSON as Python's
+``json`` module reads it; the nesting exhausts its recursion limit.
+Whatever the mutant, a command exits 0, 1 or 2, never reports an internal
+error, leaves stdout empty when it exits 2, and rejects the document as
+invalid JSON exactly when it holds the deep nesting.
 """
 
 from __future__ import annotations
@@ -35,8 +37,12 @@ BY_KIND = {
 # this marker once the rest of the document is serialised.
 LONG = "\x00long"
 LONG_LITERAL = "9" * 5000
+# Arrays nested 100,000 deep, written in place of this marker in the same way.
+DEEP = "\x00deep"
+DEEP_LITERAL = "[" * 100_000 + "]" * 100_000
 STRINGS = ["", "x", "*", "id", "co", "contra"]
-# The atoms of a retyped value, by JSON type; containers are added per edit.
+# The atoms of a retyped value, by JSON type; containers, the deep nesting
+# among them, are added per edit.
 ATOMS = [
     (bool | None, [None, True, False]),
     (int | float, [LONG, 10**400, float("nan"), float("inf"), float("-inf"), 1e308, 0, -1, 2.5]),
@@ -48,7 +54,8 @@ BUDGET = ["--budget", "20000"]
 
 def _labels(value) -> list[str]:
     """Every string in a document, keys included, in sorted order; not the
-    long literal's marker, which is written as a number."""
+    markers of the long literal and the deep nesting, which are written as
+    a number and as arrays."""
     found = set()
     stack = [value]
     while stack:
@@ -60,7 +67,7 @@ def _labels(value) -> list[str]:
             stack.extend(node.values())
         elif isinstance(node, list):
             stack.extend(node)
-    return sorted(found - {LONG})
+    return sorted(found - {LONG, DEEP})
 
 
 def _edit(draw, doc: dict) -> None:
@@ -78,7 +85,7 @@ def _edit(draw, doc: dict) -> None:
     if action == "retype":  # to a value of another JSON type
         kinds = [atoms for t, atoms in ATOMS if not isinstance(node, t)]
         if not isinstance(node, (list, dict)):
-            kinds.append([[], {}, [node], {"x": node}])
+            kinds.append([[], {}, [node], {"x": node}, DEEP])
         parent[key] = draw(st.sampled_from(draw(st.sampled_from(kinds))))
     elif action == "delete":
         del parent[key]
@@ -102,7 +109,7 @@ def mutants(draw, kind: str) -> tuple[str, str]:
     for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 3]))):
         if doc:
             _edit(draw, doc)
-    return name, json.dumps(doc).replace(json.dumps(LONG), LONG_LITERAL)
+    return name, json.dumps(doc).replace(json.dumps(LONG), LONG_LITERAL).replace(json.dumps(DEEP), DEEP_LITERAL)
 
 
 def _commands(kind: str, name: str, path: str, partner: str) -> list[list[str]]:
@@ -154,7 +161,7 @@ def _check_contract(workdir, kind: str, mutant: tuple[str, str], partner: str) -
             code = cli.main([*argv, *BUDGET])
         assert code in (0, 1, 2), (argv, text, err.getvalue())
         assert "internal error" not in err.getvalue(), (argv, text, err.getvalue())
-        assert "invalid JSON" not in err.getvalue(), (argv, text, err.getvalue())
+        assert ("invalid JSON" in err.getvalue()) == (DEEP_LITERAL in text), (argv, text, err.getvalue())
         assert code != 2 or out.getvalue() == "", (argv, text)
 
 

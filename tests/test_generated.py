@@ -9,8 +9,9 @@ so a composite is often declared before its factors. The properties check
 ``generators`` against a composition closure computed here,
 ``from_generators`` against ``validate_functor``, and ``enumerate_nat``
 and ``reflexive_scan`` against the unpruned oracles.
-Over representables and their sums they check the Yoneda count, the
-adjunction's transpose, the reflexivity of representables and of their
+Over representables and their sums they check the Yoneda count, that
+transformations out of a sum and the conjugate of a sum count as
+products, the adjunction's transpose, the reflexivity of representables and of their
 retracts along idempotents, and the triangle identity of the conjugation
 adjunction; over scanned functors,
 that reflexivity is invariant under isomorphism and that the scan
@@ -348,6 +349,28 @@ def test_reflexive_scan_compares_once_per_class(category, max_set_size):
     assert len(calls) == isomorphism_class_count(category, max_set_size)
     for v in verdicts:
         assert v.reflexive == is_natural_iso(unit(v.functor)), v.description
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(categories, st.data())
+def test_nat_out_of_a_sum_is_the_product(category, data):
+    """nat(A + B, G) = nat(A, G) x nat(B, G): a transformation out of a sum
+    is a pair of transformations, one out of each summand."""
+    functors = small_functors([yoneda(category, x) for x in category.objects])
+    a, b, g = (data.draw(st.sampled_from(functors)) for _ in range(3))
+    assert len(enumerate_nat(pointwise_sum(a, b), g)) == len(enumerate_nat(a, g)) * len(enumerate_nat(b, g))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(categories, st.data())
+def test_conjugate_of_a_sum_is_the_product(category, data):
+    """(A + B)* = A* x B*: conjugation sends a sum of presheaves to a
+    product of copresheaves, so at every X the value sets multiply."""
+    functors = small_functors([yoneda(category, x) for x in category.objects])
+    a, b = (data.draw(st.sampled_from(functors)) for _ in range(2))
+    total, left, right = (conjugate_presheaf(f).conjugate for f in (pointwise_sum(a, b), a, b))
+    for x in category.objects:
+        assert len(total.at(x)) == len(left.at(x)) * len(right.at(x)), x
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
