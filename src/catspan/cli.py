@@ -9,7 +9,8 @@ violated (the report carries a witness), 2 usage, parse, or budget
 errors, and any unexpected internal error (one line on stderr).
 
 The library decides which arguments fit an operation and raises
-``InputError`` or ``UnknownObjectError``; a handler does not check again.
+``InputError``, of which a parse error is one; a handler does not check
+again.
 """
 
 from __future__ import annotations
@@ -30,12 +31,9 @@ from .core import (
     Budget,
     BudgetExceeded,
     InputError,
-    StructuralError,
-    UnknownObjectError,
 )
 from .fileformat import (
     VARIANCE_NAMES,
-    ParseError,
     functor_to_dict,
     load_category,
     load_functor,
@@ -495,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
             "timing": None,  # suppressed for byte-deterministic reports; see text mode
         }
         _emit(report, args, time.perf_counter() - started)
-    except (ParseError, StructuralError, InputError, UnknownObjectError, BudgetExceeded) as exc:
+    except (InputError, BudgetExceeded) as exc:
         print(f"catspan: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 is reserved for a violated property with a witness

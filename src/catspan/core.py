@@ -1,6 +1,6 @@
 """The names every part of catspan shares: the immutable record base, the
 enumeration budget, the metric tolerance default, the variance constants,
-and the three errors that the command line reports as usage errors.
+and ``InputError``, a usage error of the command line, with two subclasses.
 
 This module imports nothing from catspan, so that a command loads only the
 modules it runs: the metric subcommands need ``Frozen`` and the budget but
@@ -9,6 +9,8 @@ names, and ``tightspan`` re-exports ``DEFAULT_TOL``.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
@@ -19,19 +21,19 @@ DEFAULT_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
 
 
-class StructuralError(ValueError):
+class InputError(ValueError):
+    """Arguments that do not fit the operation given them, such as functors
+    over different bases; the library raises it, the command line exits 2."""
+
+
+class StructuralError(InputError):
     """A category description that does not resolve (duplicate labels,
     dangling ids, missing identity entries), as opposed to one that
     resolves but breaks a category law."""
 
 
-class UnknownObjectError(ValueError):
+class UnknownObjectError(InputError):
     pass
-
-
-class InputError(ValueError):
-    """Arguments that do not fit the operation given them, such as functors
-    over different bases; the library raises it, the command line exits 2."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -46,9 +48,13 @@ class Budget:
     __slots__ = ("cap", "used")
 
     def __init__(self, cap: int = DEFAULT_BUDGET):
+        try:
+            cap = index(cap)
+        except TypeError:
+            raise InputError(f"budget cap must be an integer, got {type(cap).__name__}") from None
         if cap <= 0:
             raise InputError("budget cap must be positive")
-        self.cap = int(cap)
+        self.cap = cap
         self.used = 0
 
     def charge(self, amount: int = 1) -> None:

@@ -1,10 +1,11 @@
 """The on-disk document format shared by categories, functors, and metrics.
 
 All three kinds are JSON documents with a versioned ``"format": 1`` header
-and a ``"kind"`` field. Structural problems are reported as ParseError with
-the offending field path. Loaders other than ``load_category`` check the
-category laws once, where a category enters, and report the first
-violation as a ParseError at the pseudo-path ``<laws>``.
+and a ``"kind"`` field; every JSON number reads as a float. Structural
+problems are reported as ParseError, an ``InputError``, with the offending
+field path. Loaders other than ``load_category`` check the category laws
+once, where a category enters, and report the first violation as a
+ParseError at the pseudo-path ``<laws>``.
 
 The category and functor parsers import ``fincat`` and ``setfunc`` when
 called, so that reading a metric loads neither.
@@ -13,12 +14,11 @@ called, so that reading a metric loads neither.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
 
-from .core import CONTRAVARIANT, COVARIANT
+from .core import CONTRAVARIANT, COVARIANT, InputError
 
 # Type checkers read the block below; ``typing`` itself costs a command a few
 # milliseconds of start-up.
@@ -33,7 +33,7 @@ VARIANCE_CODES = {"co": COVARIANT, "contra": CONTRAVARIANT}
 VARIANCE_NAMES = {v: k for k, v in VARIANCE_CODES.items()}
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """A document that does not match the schema; the message names the
     offending field path."""
 
@@ -79,17 +79,6 @@ def _once(kind: str, path: str | Path, load):
     return loaded[key]
 
 
-def _json_int(text: str) -> int | float:
-    """A JSON integer literal. One past Python's digit limit for ``int``
-    reads as ``float(text)``, an infinity, which is what ``parse_metric``
-    makes of a shorter literal beyond the float range: either is then
-    axiom ``finite`` of the metric, not a parse error."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def read_document(path: str | Path) -> dict:
     source = str(path)
     try:
@@ -101,9 +90,10 @@ def read_document(path: str | Path) -> dict:
         session[0].append((source, data))
     # UnicodeDecodeError is a ValueError too. No document of the schema nests
     # beyond a few levels, so one deep enough to exhaust the recursion limit
-    # is invalid anyway.
+    # is invalid anyway. An integer literal reads as a float, which has no
+    # digit limit: one beyond the float range is an infinity, as 1e400 is.
     try:
-        doc = json.loads(data.decode(), parse_int=_json_int)
+        doc = json.loads(data.decode(), parse_int=float)
     except (ValueError, RecursionError) as exc:
         raise ParseError(source, "<file>", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -256,16 +246,6 @@ def load_functor(path: str | Path) -> SetValuedFunctor:
     return _once("functor", path, lambda: parse_functor(read_document(path), str(p), p.parent))
 
 
-def _as_float(x: int | float) -> float:
-    """A JSON number as a float. An integer beyond the float range reads as
-    an infinity, as the literal 1e400 does, so that metric validation
-    reports it as axiom ``finite``."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
 def parse_metric(doc: dict, source: str) -> tuple[list[str], list[list[float]]]:
     """Structural parse of a metric document; axioms are checked separately."""
     _check_header(doc, source, "metric")
@@ -285,17 +265,10 @@ def parse_metric(doc: dict, source: str) -> tuple[list[str], list[list[float]]]:
     for i, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == len(points)):
             raise ParseError(source, f"d[{i}]", f"expected a row of {len(points)} numbers")
-        # A row is checked entry by entry only when it holds something other
-        # than ints and floats, and converted only when it holds ints.
-        kinds = set(map(type, row))
-        if kinds == {float}:
-            matrix.append(row)
-            continue
-        if not kinds <= {int, float}:
-            for j, x in enumerate(row):
-                if not isinstance(x, (int, float)) or isinstance(x, bool):
-                    raise ParseError(source, f"d[{i}][{j}]", "expected a number")
-        matrix.append([_as_float(x) for x in row])
+        if set(map(type, row)) != {float}:  # every JSON number reads as a float
+            j = next(j for j, x in enumerate(row) if type(x) is not float)
+            raise ParseError(source, f"d[{i}][{j}]", "expected a number")
+        matrix.append(row)
     return list(points), matrix
 
 

@@ -356,7 +356,7 @@ def reflexive_scan(
     swaps two positions of F(u) and one at X swaps two of its values.
     """
     if max_set_size < 0:
-        raise ValueError("max_set_size must be nonnegative")
+        raise InputError("max_set_size must be nonnegative")
     b = Budget.coerce(budget)
     gens = generators(category)[0]
     non_identity = [m.label for m in category.morphisms if not category.is_identity(m.label)]

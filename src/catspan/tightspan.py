@@ -449,15 +449,15 @@ def sample_tight_span(space: FiniteMetricSpace, count: int, seed: int) -> list[D
     the numpy kernel otherwise; the two return the same bits, so numpy is
     imported only for jobs that pay for it."""
     if count < 0:
-        raise ValueError("count must be nonnegative")
+        raise InputError("count must be nonnegative")
+    seed = index(seed)
+    if seed < 0:
+        raise InputError("seed must be a nonnegative integer")
     if count == 0:
         return []
     n = len(space.points)
     if n == 0:
-        raise ValueError("cannot sample from an empty space")
-    seed = index(seed)
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+        raise InputError("cannot sample from an empty space")
     # Imported here, as numpy is below: a command that samples nothing does
     # not load it.
     import random

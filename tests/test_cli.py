@@ -11,7 +11,8 @@ import pytest
 from catspan import cli
 from catspan.cli import main
 from catspan.corpus import fixture_path
-from catspan.fileformat import load_functor, recording_reads
+from catspan.core import InputError, StructuralError, UnknownObjectError
+from catspan.fileformat import ParseError, load_functor, recording_reads
 
 
 def run(capsys, *argv):
@@ -403,8 +404,14 @@ DUPLICATE_LABEL_FUNCTOR = {
         ("metric-validate", {"format": 1, "kind": "metric", "points": [], "d": []}, "points", "at least one point"),
         ("validate-cat", {**BROKEN_CATEGORY, "identities": {"A": ["id_A"], "B": "id_B"}},
          "identities.A", "expected a morphism id"),
+        # every JSON number reads as a float, also where a message echoes it
+        ("validate-cat", {**BROKEN_CATEGORY, "format": 2}, "format", "expected format 1, got 2.0"),
+        ("validate-cat", {**BROKEN_CATEGORY, "objects": 3}, "objects", "expected list of labels, got float"),
+        ("metric-validate", {"format": 1, "kind": "metric", "points": ["a", "b"], "d": [[0, 1], [1, True]]},
+         "d[1][1]", "expected a number"),
     ],
-    ids=["functor-duplicate", "metric-duplicate", "metric-empty", "identity-not-a-string"],
+    ids=["functor-duplicate", "metric-duplicate", "metric-empty", "identity-not-a-string",
+         "format-integer", "objects-integer", "distance-not-a-number"],
 )
 def test_bad_labels_are_parse_errors(capsys, tmp_path, subcommand, doc, field, detail):
     (tmp_path / "terminal.category.json").write_text(fixture_path("terminal.category.json").read_text())
@@ -457,6 +464,24 @@ def test_long_integer_distances_are_not_finite(capsys, tmp_path, digits):
     assert (code, err) == (1, "")
     violations = json.loads(out, parse_constant=_reject_constant)["results"]["violations"]
     assert violations == [{"axiom": "finite", "witness": w} for w in (["a", "b"], ["b", "a"])]
+
+
+def test_integer_and_float_literals_read_alike(capsys, tmp_path):
+    """One metric written with int literals and with float literals: the
+    same results, valid and projected."""
+    d = [[0, 3, 4, 5], [3, 0, 5, 4], [4, 5, 0, 3], [5, 4, 3, 0]]
+    results = {}
+    for spelling, convert in (("int", int), ("float", float)):
+        path = tmp_path / f"{spelling}.metric.json"
+        doc = {"format": 1, "kind": "metric", "points": list("abcd"), "d": [[convert(x) for x in row] for row in d]}
+        path.write_text(json.dumps(doc))
+        assert (".0" in path.read_text()) == (spelling == "float")
+        for argv in (["metric-validate"], ["project", "3", "3", "3", "4"]):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--format", "structured")
+            assert (code, err) == (0, ""), argv
+            results[spelling, argv[0]] = json.loads(out)["results"]
+    for command in ("metric-validate", "project"):
+        assert results["int", command] == results["float", command]
 
 
 def test_tripod(capsys):
@@ -652,11 +677,22 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, target):
     assert err.startswith(f"catspan: error: {path}: ") and err.count("\n") == 1, err
 
 
-EMPTY_CATEGORY = {"format": 1, "kind": "category", "objects": [], "morphisms": [], "identities": {}, "compose": []}
-EMPTY_PRESHEAF = {
-    "format": 1, "kind": "functor", "category": "empty.category.json", "variance": "contra",
-    "objects": {}, "morphisms": {},
+LOCAL_DOCUMENTS = {
+    "empty.category.json": {"format": 1, "kind": "category", "objects": [], "morphisms": [], "identities": {}, "compose": []},
+    "empty.presheaf.json": {
+        "format": 1, "kind": "functor", "category": "empty.category.json", "variance": "contra",
+        "objects": {}, "morphisms": {},
+    },
+    "repeated.category.json": {
+        "format": 1, "kind": "category", "objects": ["A", "A"], "morphisms": [{"id": "id_A", "src": "A", "tgt": "A"}],
+        "identities": {"A": "id_A"}, "compose": [["id_A", "id_A", "id_A"]],
+    },
 }
+
+
+def test_usage_errors_are_input_errors():
+    for error in (ParseError, StructuralError, UnknownObjectError):
+        assert issubclass(error, InputError), error
 
 
 @pytest.mark.parametrize(
@@ -679,17 +715,18 @@ EMPTY_PRESHEAF = {
         (["tripod", "random5.metric.json"], "tripod"),
         (["project", "two_point.metric.json", "1", "2", "3"], "values"),
         (["geodesic-check", "two_point.metric.json", "1"], "values"),
+        (["validate-cat", "repeated.category.json"], "duplicate object label 'A'"),
     ],
 )
 def test_arguments_that_do_not_fit_are_usage_errors(capsys, tmp_path, argv, keyword):
     """Functors over different bases or of the wrong variance, an unknown
     object (also in a category without objects), a tripod on other than
-    three points and a function with the wrong number of values: exit 2
-    with one diagnostic line and no report."""
-    (tmp_path / "empty.category.json").write_text(json.dumps(EMPTY_CATEGORY))
-    (tmp_path / "empty.presheaf.json").write_text(json.dumps(EMPTY_PRESHEAF))
+    three points, a function with the wrong number of values and a category
+    that does not resolve: exit 2 with one diagnostic line and no report."""
+    for name, doc in LOCAL_DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     subcommand, *rest = argv
-    paths = [str(tmp_path / a) if a.startswith("empty.") else fx(a) if a.endswith(".json") else a for a in rest]
+    paths = [str(tmp_path / a) if a in LOCAL_DOCUMENTS else fx(a) if a.endswith(".json") else a for a in rest]
     code, out, err = run(capsys, subcommand, *paths)
     assert (code, out) == (2, "")
     assert err.startswith("catspan: error: ") and err.count("\n") == 1, err

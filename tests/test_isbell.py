@@ -8,6 +8,7 @@ from catspan import (
     CONTRAVARIANT,
     Budget,
     BudgetExceeded,
+    InputError,
     adjunction_transpose,
     component_signature,
     compose_nat,
@@ -372,6 +373,11 @@ def test_scan_is_deterministic(categories):
     first = [(v.description, v.reflexive) for v in reflexive_scan(categories["z2"], 2)]
     second = [(v.description, v.reflexive) for v in reflexive_scan(categories["z2"], 2)]
     assert first == second
+
+
+def test_negative_scan_size_is_an_input_error(categories):
+    with pytest.raises(InputError, match="max_set_size"):
+        reflexive_scan(categories["z2"], -1)
 
 
 def test_scan_budget(categories):

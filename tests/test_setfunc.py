@@ -8,6 +8,7 @@ from catspan import (
     FinCategory,
     FinSet,
     FunctorLawError,
+    InputError,
     SetFunction,
     UnknownObjectError,
     compose_nat,
@@ -187,6 +188,15 @@ def test_budget_exceeded_reports_cap(presheaves):
     with pytest.raises(BudgetExceeded) as err:
         enumerate_nat(f, f, budget=Budget(1))
     assert err.value.cap == 1
+
+
+@pytest.mark.parametrize("cap", [0.5, float("nan"), float("inf"), "10", 0, -1])
+def test_budget_cap_must_be_a_positive_integer(cap):
+    """A cap that is not an integer is an input error, as one below 1 is;
+    an int cap is kept as given."""
+    with pytest.raises(InputError, match="budget cap must be"):
+        Budget(cap)
+    assert Budget(10).cap == 10
 
 
 def test_budget_cap_is_exact(categories, presheaves, copresheaves):

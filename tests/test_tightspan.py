@@ -491,6 +491,14 @@ def test_negative_seed_is_rejected(metrics):
         sample_tight_span(metrics["two_point"], 1, seed=-1)
 
 
+@pytest.mark.parametrize("count,seed", [(0, -1), (-1, 0)])
+def test_arguments_are_checked_before_nothing_is_drawn(metrics, count, seed):
+    """A negative count or seed is an input error even where no sample
+    would be drawn."""
+    with pytest.raises(InputError, match="nonnegative"):
+        sample_tight_span(metrics["two_point"], count, seed)
+
+
 def _numpy_samples(space, count, seed):
     """sample_tight_span's samples written out independently: the draws of
     random.Random(seed), added to the anchor row in numpy and projected by
