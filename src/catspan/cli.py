@@ -339,23 +339,35 @@ def _cmd_sample_span(args, budget):
     }
 
 
-HANDLERS = {
-    "validate-cat": _cmd_validate_cat,
-    "validate-fun": _cmd_validate_fun,
-    "hom": _cmd_hom,
-    "nat": _cmd_nat,
-    "yoneda": _cmd_yoneda,
-    "yoneda-check": _cmd_yoneda_check,
-    "sum": _cmd_sum,
-    "conjugate": _cmd_conjugate,
-    "adjunction-check": _cmd_adjunction_check,
-    "unit": _cmd_unit,
-    "reflexive-scan": _cmd_reflexive_scan,
-    "metric-validate": _cmd_metric_validate,
-    "tripod": _cmd_tripod,
-    "project": _cmd_project,
-    "geodesic-check": _cmd_geodesic_check,
-    "sample-span": _cmd_sample_span,
+# Each subcommand once, in the order ``--help`` lists them: its help line,
+# its arguments and its handler. An argument is a positional name, a name
+# ending in ``*`` for any number of floats, or ``--option=default`` for a
+# nonnegative integer option. ``build_parser`` gives every subcommand
+# ``--budget``, ``--tol``, ``--seed``, ``--format`` and ``--output`` first.
+COMMANDS = {
+    "validate-cat": ("check the category laws of a category file", ("file",), _cmd_validate_cat),
+    "validate-fun": ("check the functor laws of a functor file", ("file",), _cmd_validate_fun),
+    "hom": ("list the morphisms between two objects", ("file", "src", "tgt"), _cmd_hom),
+    "nat": ("enumerate natural transformations between two functors", ("source", "target"), _cmd_nat),
+    "yoneda": ("emit the representable presheaf of an object", ("file", "object"), _cmd_yoneda),
+    "yoneda-check": ("verify the representable bijection at an object", ("file", "object"), _cmd_yoneda_check),
+    "sum": ("pointwise disjoint union of two functors", ("left", "right"), _cmd_sum),
+    "conjugate": ("conjugate of a presheaf or copresheaf", ("file",), _cmd_conjugate),
+    "adjunction-check": (
+        "verify both hom-sets and the transpose round trip", ("presheaf", "copresheaf"), _cmd_adjunction_check,
+    ),
+    "unit": ("comparison map of a presheaf into its double conjugate", ("file",), _cmd_unit),
+    "reflexive-scan": (
+        "scan all small presheaves for reflexivity", ("file", "--max-set-size=2"), _cmd_reflexive_scan,
+    ),
+    "metric-validate": ("check the metric axioms of a metric file", ("file",), _cmd_metric_validate),
+    "tripod": ("closed-form hub and legs of a 3-point metric", ("file",), _cmd_tripod),
+    "project": ("project an admissible function onto the extremal set", ("file", "values*"), _cmd_project),
+    "geodesic-check": (
+        "verify distance-sum witnesses on extremal functions", ("file", "values*", "--samples=100"),
+        _cmd_geodesic_check,
+    ),
+    "sample-span": ("deterministically sample extremal functions", ("file", "--count=10"), _cmd_sample_span),
 }
 
 
@@ -368,62 +380,40 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node-expansion cap for enumerations")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric validation tolerance")
-    common.add_argument("--seed", type=nonnegative_int, default=0, help="seed for sampling subcommands")
-    common.add_argument("--format", choices=("text", "structured"), default="text", dest="output_format")
-    common.add_argument("--output", default=None, help="write the report to this path instead of stdout")
-
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of ``names``, by default of
+    every subcommand."""
     parser = argparse.ArgumentParser(prog="catspan", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("validate-cat", parents=[common], help="check the category laws of a category file")
-    p.add_argument("file")
-    p = sub.add_parser("validate-fun", parents=[common], help="check the functor laws of a functor file")
-    p.add_argument("file")
-    p = sub.add_parser("hom", parents=[common], help="list the morphisms between two objects")
-    p.add_argument("file")
-    p.add_argument("src")
-    p.add_argument("tgt")
-    p = sub.add_parser("nat", parents=[common], help="enumerate natural transformations between two functors")
-    p.add_argument("source")
-    p.add_argument("target")
-    p = sub.add_parser("yoneda", parents=[common], help="emit the representable presheaf of an object")
-    p.add_argument("file")
-    p.add_argument("object")
-    p = sub.add_parser("yoneda-check", parents=[common], help="verify the representable bijection at an object")
-    p.add_argument("file")
-    p.add_argument("object")
-    p = sub.add_parser("sum", parents=[common], help="pointwise disjoint union of two functors")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = sub.add_parser("conjugate", parents=[common], help="conjugate of a presheaf or copresheaf")
-    p.add_argument("file")
-    p = sub.add_parser("adjunction-check", parents=[common], help="verify both hom-sets and the transpose round trip")
-    p.add_argument("presheaf")
-    p.add_argument("copresheaf")
-    p = sub.add_parser("unit", parents=[common], help="comparison map of a presheaf into its double conjugate")
-    p.add_argument("file")
-    p = sub.add_parser("reflexive-scan", parents=[common], help="scan all small presheaves for reflexivity")
-    p.add_argument("file")
-    p.add_argument("--max-set-size", type=nonnegative_int, default=2)
-    p = sub.add_parser("metric-validate", parents=[common], help="check the metric axioms of a metric file")
-    p.add_argument("file")
-    p = sub.add_parser("tripod", parents=[common], help="closed-form hub and legs of a 3-point metric")
-    p.add_argument("file")
-    p = sub.add_parser("project", parents=[common], help="project an admissible function onto the extremal set")
-    p.add_argument("file")
-    p.add_argument("values", nargs="*", type=float)
-    p = sub.add_parser("geodesic-check", parents=[common], help="verify distance-sum witnesses on extremal functions")
-    p.add_argument("file")
-    p.add_argument("values", nargs="*", type=float)
-    p.add_argument("--samples", type=nonnegative_int, default=100)
-    p = sub.add_parser("sample-span", parents=[common], help="deterministically sample extremal functions")
-    p.add_argument("file")
-    p.add_argument("--count", type=nonnegative_int, default=10)
+    for name in names:
+        help_line, arguments, _ = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node-expansion cap for enumerations")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric validation tolerance")
+        p.add_argument("--seed", type=nonnegative_int, default=0, help="seed for sampling subcommands")
+        p.add_argument("--format", choices=("text", "structured"), default="text", dest="output_format")
+        p.add_argument("--output", default=None, help="write the report to this path instead of stdout")
+        for argument in arguments:
+            if argument.startswith("--"):
+                option, default = argument.split("=")
+                p.add_argument(option, type=nonnegative_int, default=int(default))
+            elif argument.endswith("*"):
+                p.add_argument(argument[:-1], nargs="*", type=float)
+            else:
+                p.add_argument(argument)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by the subparser of the subcommand it names alone.
+    Whatever the top level reports itself (help, a missing or unknown
+    subcommand, an argument no subparser takes) it reports with the parser
+    of every subcommand, whose usage lists them all."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = build_parser(argv[:1]).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _render_text(value, indent: int = 0) -> list[str]:
@@ -466,9 +456,8 @@ def _emit(report: dict, args: argparse.Namespace, elapsed: float) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
@@ -477,8 +466,9 @@ def main(argv: list[str] | None = None) -> int:
         budget = Budget(args.budget)
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise InputError("--tol must be positive and finite")
+        _, _, handler = COMMANDS[args.subcommand]
         with recording_reads() as reads:
-            ok, results = HANDLERS[args.subcommand](args, budget)
+            ok, results = handler(args, budget)
         report = {
             "format": 1,
             "subcommand": args.subcommand,

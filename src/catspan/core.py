@@ -36,6 +36,15 @@ class UnknownObjectError(InputError):
     pass
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as an int through ``operator.index``; a float or any other
+    value that is not an integer is an ``InputError`` naming ``name``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {type(value).__name__}") from None
+
+
 class BudgetExceeded(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"enumeration budget exceeded (cap {cap} node expansions)")
@@ -48,10 +57,7 @@ class Budget:
     __slots__ = ("cap", "used")
 
     def __init__(self, cap: int = DEFAULT_BUDGET):
-        try:
-            cap = index(cap)
-        except TypeError:
-            raise InputError(f"budget cap must be an integer, got {type(cap).__name__}") from None
+        cap = as_integer(cap, "budget cap")
         if cap <= 0:
             raise InputError("budget cap must be positive")
         self.cap = cap

@@ -102,8 +102,9 @@ def read_document(path: str | Path) -> dict:
 
 
 def _check_header(doc: dict, source: str, kind: str) -> None:
-    if doc.get("format") != FORMAT_VERSION:
-        raise ParseError(source, "format", f"expected format {FORMAT_VERSION}, got {doc.get('format')!r}")
+    version = doc.get("format")
+    if version != FORMAT_VERSION or isinstance(version, bool):  # True == 1
+        raise ParseError(source, "format", f"expected format {FORMAT_VERSION}, got {version!r}")
     if doc.get("kind") != kind:
         raise ParseError(source, "kind", f"expected {kind!r}, got {doc.get('kind')!r}")
 

@@ -34,9 +34,9 @@ from __future__ import annotations
 import math
 import sys
 from itertools import repeat
-from operator import add, index, sub
+from operator import add, sub
 
-from .core import DEFAULT_TOL, Frozen, InputError  # DEFAULT_TOL is re-exported
+from .core import DEFAULT_TOL, Frozen, InputError, as_integer  # DEFAULT_TOL is re-exported
 
 WITNESS_TOL = 1e-6
 # The tolerance floor, in float spacings of the largest entry: above the few
@@ -448,9 +448,9 @@ def sample_tight_span(space: FiniteMetricSpace, count: int, seed: int) -> list[D
     NUMPY_FROM points while count * n * n is below SAMPLE_NUMPY_WORK, and by
     the numpy kernel otherwise; the two return the same bits, so numpy is
     imported only for jobs that pay for it."""
+    count, seed = as_integer(count, "count"), as_integer(seed, "seed")
     if count < 0:
         raise InputError("count must be nonnegative")
-    seed = index(seed)
     if seed < 0:
         raise InputError("seed must be a nonnegative integer")
     if count == 0:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -406,12 +407,13 @@ DUPLICATE_LABEL_FUNCTOR = {
          "identities.A", "expected a morphism id"),
         # every JSON number reads as a float, also where a message echoes it
         ("validate-cat", {**BROKEN_CATEGORY, "format": 2}, "format", "expected format 1, got 2.0"),
+        ("validate-cat", {**BROKEN_CATEGORY, "format": True}, "format", "expected format 1, got True"),
         ("validate-cat", {**BROKEN_CATEGORY, "objects": 3}, "objects", "expected list of labels, got float"),
         ("metric-validate", {"format": 1, "kind": "metric", "points": ["a", "b"], "d": [[0, 1], [1, True]]},
          "d[1][1]", "expected a number"),
     ],
     ids=["functor-duplicate", "metric-duplicate", "metric-empty", "identity-not-a-string",
-         "format-integer", "objects-integer", "distance-not-a-number"],
+         "format-integer", "format-boolean", "objects-integer", "distance-not-a-number"],
 )
 def test_bad_labels_are_parse_errors(capsys, tmp_path, subcommand, doc, field, detail):
     (tmp_path / "terminal.category.json").write_text(fixture_path("terminal.category.json").read_text())
@@ -661,11 +663,26 @@ def test_unexpected_error_exits_two_with_one_line(capsys, monkeypatch):
     def broken_handler(args, budget):
         raise RuntimeError("handler failed")
 
-    monkeypatch.setitem(cli.HANDLERS, "tripod", broken_handler)
+    help_line, arguments, _ = cli.COMMANDS["tripod"]
+    monkeypatch.setitem(cli.COMMANDS, "tripod", (help_line, arguments, broken_handler))
     code, out, err = run(capsys, "tripod", fx("triangle345.metric.json"))
     assert code == 2
     assert err.startswith("catspan: ") and err.count("\n") == 1
     assert err == "catspan: internal error: RuntimeError: handler failed\n" and out == ""
+
+
+def test_a_run_builds_the_parser_of_its_subcommand_alone(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    code, out, err = run(capsys, "validate-cat", fx("terminal.category.json"))
+    assert (code, err) == (0, "")
+    assert built == ["catspan", "catspan validate-cat"]
 
 
 @pytest.mark.parametrize("target", ["directory", "missing/report.json"])

@@ -140,15 +140,10 @@ def _commands(kind: str, name: str, path: str, partner: str) -> list[list[str]]:
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """A copy of the fixtures, so that a mutant functor written next to them
-    finds the category it names. While the module runs, ``main`` reuses one
-    parser, which it would otherwise build afresh in each call (about 4 ms
-    of the 5 a small command takes)."""
+    finds the category it names."""
     target = tmp_path_factory.mktemp("mutants") / "fixtures"
     shutil.copytree(FIXTURES, target)
-    parser = cli.build_parser()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "build_parser", lambda: parser)
-        yield target
+    return target
 
 
 def _check_contract(workdir, kind: str, mutant: tuple[str, str], partner: str) -> None:

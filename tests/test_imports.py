@@ -85,7 +85,7 @@ print(json.dumps(seen))
     large_metric = ["metric-validate", line_metric(tmp_path, NUMPY_FROM)]
     commands = [*CATEGORY_COMMANDS, *SMALL_METRIC_COMMANDS, *SAMPLING_COMMANDS, large_metric]
     seen = json.loads(run_python(script, json.dumps(commands)))
-    assert {argv[0] for argv in CATEGORY_COMMANDS} == set(catspan.cli.HANDLERS) - METRIC_SUBCOMMANDS
+    assert {argv[0] for argv in CATEGORY_COMMANDS} == set(catspan.cli.COMMANDS) - METRIC_SUBCOMMANDS
     assert {argv[0] for argv in SMALL_METRIC_COMMANDS + SAMPLING_COMMANDS} == METRIC_SUBCOMMANDS
     assert [code for _, code, _, _ in seen] == [0] * len(seen)
     assert [command for command, _, numpy, _ in seen if numpy] == [" ".join(large_metric)]

@@ -499,6 +499,12 @@ def test_arguments_are_checked_before_nothing_is_drawn(metrics, count, seed):
         sample_tight_span(metrics["two_point"], count, seed)
 
 
+@pytest.mark.parametrize("count,seed,name", [(1, 0.5, "seed"), (0.5, 0, "count")])
+def test_count_and_seed_that_are_not_integers_are_input_errors(metrics, count, seed, name):
+    with pytest.raises(InputError, match=f"^{name} must be an integer, got float$"):
+        sample_tight_span(metrics["two_point"], count, seed)
+
+
 def _numpy_samples(space, count, seed):
     """sample_tight_span's samples written out independently: the draws of
     random.Random(seed), added to the anchor row in numpy and projected by
