@@ -47,7 +47,7 @@ from .fileformat import (
 # ``.setfunc`` besides for the functor commands, ``.isbell`` besides for the
 # four conjugation commands, and ``.tightspan`` for the metric commands
 # alone. ``.tightspan`` imports numpy only on metrics of NUMPY_FROM points
-# or more and for sampling jobs of SAMPLE_NUMPY_WORK or more.
+# or more.
 
 
 def _nat_to_dict(t) -> dict:
@@ -72,17 +72,6 @@ def _load_valid_metric(path: str, tol: float):
     except MetricError as exc:
         first = exc.violations[0]
         raise InputError(f"{path}: not a valid metric ({first[0]} at {first[1]}); run metric-validate") from None
-
-
-def _sample(space, count: int, args):
-    """``count`` sampled points of the tight span; a projection that stops
-    at its iteration cap is an input error, as an exhausted budget is."""
-    from .tightspan import ProjectionError, sample_tight_span
-
-    try:
-        return sample_tight_span(space, count, args.seed)
-    except ProjectionError as exc:
-        raise InputError(f"{args.file}: {exc}") from None
 
 
 # ---------------------------------------------------------------- handlers
@@ -296,7 +285,7 @@ def _cmd_project(args, budget):
 
 
 def _cmd_geodesic_check(args, budget):
-    from .tightspan import DistanceFunction, NoWitnessError, extremality_defect, geodesic_witness
+    from .tightspan import DistanceFunction, NoWitnessError, extremality_defect, geodesic_witness, sample_tight_span
 
     space = _load_valid_metric(args.file, args.tol)
     if args.values:
@@ -310,7 +299,7 @@ def _cmd_geodesic_check(args, budget):
             }
         candidates = [f]
     else:
-        candidates = _sample(space, args.samples, args)
+        candidates = sample_tight_span(space, args.samples, args.seed)
     witnesses = []
     failures = []
     for i, f in enumerate(candidates):
@@ -330,8 +319,10 @@ def _cmd_geodesic_check(args, budget):
 
 
 def _cmd_sample_span(args, budget):
+    from .tightspan import sample_tight_span
+
     space = _load_valid_metric(args.file, args.tol)
-    samples = _sample(space, args.count, args)
+    samples = sample_tight_span(space, args.count, args.seed)
     return True, {
         "count": len(samples),
         "seed": args.seed,
@@ -498,8 +489,7 @@ def run() -> None:
     ``os._exit``. That skips the interpreter's teardown, which frees every
     module and object one by one: on a 2-core VM about 10 ms after a
     category command and 30 ms once numpy is loaded (by a metric of
-    ``tightspan.NUMPY_FROM`` points or more, or a sampling job of
-    ``tightspan.SAMPLE_NUMPY_WORK`` or more), against commands that often
+    ``tightspan.NUMPY_FROM`` points or more), against commands that often
     compute for less. A failed flush exits 120, as the interpreter's
     own shutdown does. ``main`` returns its exit code instead, for callers
     in the same process."""

@@ -5,8 +5,10 @@ A function f on the points is admissible when f(x) + f(x') >= d(x, x') for
 every pair, and extremal when in addition every x has a partner x' making
 that an equality. The extremal functions are exactly the points of the
 injective hull; membership is measured by a two-part defect (admissibility
-slack and tightness gap) and reached by averaging a function with its
-conjugate E(f)(x) = max_x' (d(x, x') - f(x')).
+slack and tightness gap) and reached from an admissible function through
+its conjugate E(f)(x) = max_x' (d(x, x') - f(x')): by averaging the two
+in extremal_project, by lowering f to E(f) point by point in
+sample_tight_span.
 
 The tolerance is decided once, where the metric enters: validate_metric
 raises the caller's tolerance to a floor of TOL_SPACINGS float spacings of
@@ -19,14 +21,14 @@ NUMPY_FROM points: the triangle check of validate_metric, one n x n numpy
 comparison per row, and the averaging rounds of extremal_project. Below
 that size importing numpy costs more than the work, so a command on a
 small metric never imports it; the triangle check also runs in numpy
-wherever numpy is loaded already. A seed's samples are drawn from Python's
-random.Random(seed), whose sequence Python keeps across versions, so
-sample_tight_span imports numpy only to project a job of SAMPLE_NUMPY_WORK
-or more, and numpy's random module never. Both kernels of a pair round
-every sum in the same order and so return the same bits. Projection checks
+wherever numpy is loaded already. Both kernels of a pair round every sum
+in the same order and so return the same bits. Projection checks
 admissibility once on entry, then follows only the O(n^2) gap per round,
 since averaging an admissible function with its conjugate stays
-admissible.
+admissible. Sampling needs no rounds: it lowers each admissible start to
+an extremal function in one O(n^2) pass, in Python at every size, from
+the draws of Python's random.Random(seed), whose sequence Python keeps
+across versions.
 """
 
 from __future__ import annotations
@@ -56,13 +58,6 @@ MAX_DISTANCE = sys.float_info.max / 8
 # 50). One projection alone would pay for the import only near 200 points,
 # but from this size on validation has imported numpy already.
 NUMPY_FROM = 100
-# The sampling work count * n * n from which sample_tight_span projects in
-# numpy, below NUMPY_FROM points. In a fresh process the Python rounds cost
-# as much as importing numpy and running its rounds near this work (medians
-# of 6 on a 2-core VM: 99 ms against 88 ms for 14 samples of 50 points, 159
-# ms against 174 ms for 80 samples of 20); smaller spaces favour Python
-# longer, since each numpy round has a fixed cost.
-SAMPLE_NUMPY_WORK = 35_000
 
 
 class MetricError(ValueError):
@@ -327,6 +322,9 @@ def extremal_project(f: DistanceFunction) -> DistanceFunction:
     feeds the same conjugate into the next average; the full defect,
     slack included, is checked on an iterate whose gap passes. Below
     NUMPY_FROM points this runs on Python floats, from there on in numpy.
+
+    Lowering, as sample_tight_span does, would need no rounds, but its
+    result depends on the order of the points; the average does not.
     """
     return _project_numpy(f) if len(f.values) >= NUMPY_FROM else _project(f)
 
@@ -356,15 +354,13 @@ def _project(f: DistanceFunction) -> DistanceFunction:
     raise ProjectionError(MAX_ITERATIONS, extremality_defect(DistanceFunction(space, h)).defect)
 
 
-def _project_numpy(f: DistanceFunction, d=None) -> DistanceFunction:
+def _project_numpy(f: DistanceFunction) -> DistanceFunction:
     """_project's steps on numpy arrays, each sum in the same order, so the
-    same bits; ``d`` is the space's matrix as an array, when the caller has
-    built it."""
+    same bits."""
     import numpy as np
 
     space, tol = f.space, f.space.tol
-    if d is None:
-        d = np.array(space.dist, dtype=float)
+    d = np.array(space.dist, dtype=float)
 
     def conjugate(h):
         return (d - h[None, :]).max(axis=1)
@@ -440,14 +436,19 @@ def tripod(space: FiniteMetricSpace) -> TripodResult:
 def sample_tight_span(space: FiniteMetricSpace, count: int, seed: int) -> list[DistanceFunction]:
     """Deterministically seeded extremal samples: an embedded point plus a
     nonnegative per-coordinate perturbation (admissible by construction),
-    projected onto the extremal set. Every draw is r =
+    lowered onto the extremal set. Every draw is r =
     random.Random(seed).random(), whose sequence for an int seed Python
     keeps across versions (the random module's notes on reproducibility):
     the anchor row is int(n * r), exact for n below 2**53, and each
-    perturbation is diameter * r. The starts are projected in Python below
-    NUMPY_FROM points while count * n * n is below SAMPLE_NUMPY_WORK, and by
-    the numpy kernel otherwise; the two return the same bits, so numpy is
-    imported only for jobs that pay for it."""
+    perturbation is diameter * r.
+
+    A start is lowered in one pass, largest value first with ties in point
+    order: f(x) becomes min(f(x), max(0, E(f)(x))), the conjugate read off
+    the values lowered so far. Lowering keeps f admissible and leaves x
+    tight with some partner, or with itself at 0, and no later step undoes
+    that: a partner y of x has E(f)(y) >= d(y, x) - f(x) = f(y) and so
+    keeps its value. The result is extremal after n steps, with no rounds.
+    The min only stops rounding from raising a value."""
     count, seed = as_integer(count, "count"), as_integer(seed, "seed")
     if count < 0:
         raise InputError("count must be nonnegative")
@@ -458,26 +459,19 @@ def sample_tight_span(space: FiniteMetricSpace, count: int, seed: int) -> list[D
     n = len(space.points)
     if n == 0:
         raise InputError("cannot sample from an empty space")
-    # Imported here, as numpy is below: a command that samples nothing does
-    # not load it.
+    # Imported here: a command that samples nothing does not load it.
     import random
 
     draw = random.Random(seed).random
-    if n < NUMPY_FROM and count * n * n < SAMPLE_NUMPY_WORK:
-        project = _project
-    else:
-        import numpy as np
-
-        d = np.array(space.dist, dtype=float)
-
-        def project(start):
-            return _project_numpy(start, d)
-
-    diameter = space.diameter
+    d, diameter = space.dist, space.diameter
     samples = []
     for _ in range(count):
-        row = space.dist[int(n * draw())]
+        row = d[int(n * draw())]
         # With a diameter of 0 nothing is drawn; adding 0.0 still makes -0.0 into 0.0.
         perturbation = [diameter * draw() for _ in range(n)] if diameter > 0 else repeat(0.0)
-        samples.append(project(DistanceFunction(space, map(add, row, perturbation))))
+        f = list(map(add, row, perturbation))
+        # The term y = x is -f(x) <= 0, never above the floor, so it stays in.
+        for x in sorted(range(n), key=f.__getitem__, reverse=True):
+            f[x] = min(f[x], max(0.0, max(map(sub, d[x], f))))
+        samples.append(DistanceFunction(space, f))
     return samples

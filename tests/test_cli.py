@@ -361,17 +361,28 @@ def test_distances_whose_sums_overflow_are_violations(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv", [["sample-span", "--count", "10"], ["geodesic-check", "--samples", "10"]], ids=["sample-span", "geodesic-check"]
 )
-def test_projection_that_does_not_converge_is_a_usage_error(capsys, monkeypatch, argv):
-    # A valid metric whose sampled projections are stopped at a cap of 0
-    # iterations.
+def test_sampling_does_not_read_the_iteration_cap(capsys, monkeypatch, argv):
+    # Sampling lowers each start in one pass, with no rounds to cap.
+    from catspan import tightspan
+
+    path = fx("random5.metric.json")
+    uncapped = run(capsys, *argv, path, "--format", "structured")
+    assert uncapped[0] == 0
+    monkeypatch.setattr(tightspan, "MAX_ITERATIONS", 0)
+    assert run(capsys, *argv, path, "--format", "structured") == uncapped
+
+
+def test_projection_stopped_at_the_iteration_cap_reports_it(capsys, monkeypatch):
+    # (3, 3, 3) is admissible on the 3-4-5 triangle but not extremal: its
+    # conjugate is (1, 2, 2), so the defect of the start is 2.
     from catspan import tightspan
 
     monkeypatch.setattr(tightspan, "MAX_ITERATIONS", 0)
-    path = fx("random5.metric.json")
-    assert run(capsys, "metric-validate", path)[0] == 0
-    code, out, err = run(capsys, *argv, path, "--format", "structured")
-    assert code == 2 and out == ""
-    assert err.startswith(f"catspan: error: {path}: projection did not converge ") and err.count("\n") == 1
+    code, out, err = run(capsys, "project", fx("triangle345.metric.json"), "3", "3", "3", "--format", "structured")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["results"] == {
+        "converged": False, "reason": "iteration-cap", "iterations": 0, "final_defect": 2.0,
+    }
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

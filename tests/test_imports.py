@@ -1,6 +1,5 @@
 """Start-up: numpy is imported only where the tight span works on a metric
-of ``tightspan.NUMPY_FROM`` points or more or samples with a work of
-``tightspan.SAMPLE_NUMPY_WORK`` or more, the conjugation module only by
+of ``tightspan.NUMPY_FROM`` points or more, the conjugation module only by
 the conjugation subcommands, the category modules by no
 metric subcommand, and no subcommand imports ``dataclasses`` or, apart
 from what numpy loads, ``inspect``.
@@ -23,7 +22,7 @@ import pytest
 import catspan
 import catspan.cli
 from catspan.corpus import fixture_path
-from catspan.tightspan import NUMPY_FROM, SAMPLE_NUMPY_WORK
+from catspan.tightspan import NUMPY_FROM
 from test_acceptance import CLI_SUITE
 
 SRC = Path(catspan.__file__).resolve().parents[1]
@@ -41,8 +40,8 @@ SMALL_METRIC_COMMANDS = [
     ["project", "triangle345.metric.json", "3", "3", "3"],
     ["geodesic-check", "triangle345.metric.json", "1", "2", "3"],
 ]
-# Sampling: sample-span, and geodesic-check given no function values. On
-# the corpus the jobs are small, so they draw and project without numpy.
+# Sampling: sample-span, and geodesic-check given no function values. They
+# draw and lower without numpy at any size.
 SAMPLING_COMMANDS = [
     argv for argv in CLI_SUITE
     if argv[0] == "sample-span" or argv[0] == "geodesic-check" and argv[2] == "--samples"
@@ -94,8 +93,8 @@ print(json.dumps(seen))
 
 def test_each_command_imports_only_what_it_runs(tmp_path):
     """Every command of the suite in its own interpreter, none of which
-    loads numpy, which itself imports ``inspect``; then a sampling job
-    large enough to project in numpy, which loads it but not numpy.random."""
+    loads numpy, which itself imports ``inspect``; nor does a sampling job
+    of 500 samples on 50 points."""
     script = """
 import contextlib, io, json, sys
 libraries = json.loads(sys.argv[1])
@@ -103,12 +102,11 @@ import catspan.cli
 loaded_by_import = [name for name in libraries if name in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = catspan.cli.main(sys.argv[2:] + ["--format", "structured"])
-names = ("dataclasses", "inspect", "numpy", "numpy.random", *libraries)
+names = ("dataclasses", "inspect", "numpy", *libraries)
 print(json.dumps([code, loaded_by_import, [name for name in names if name in sys.modules]]))
 """
     libraries = json.dumps(LIBRARY_MODULES)
     large_sampling = ["sample-span", line_metric(tmp_path, 50), "--count", "500"]
-    assert 500 * 50 * 50 >= SAMPLE_NUMPY_WORK
     commands = [*CLI_SUITE, large_sampling]
     with ThreadPoolExecutor(max_workers=2) as pool:
         seen = list(pool.map(lambda argv: json.loads(run_python(script, libraries, *argv)), commands))
@@ -116,9 +114,8 @@ print(json.dumps([code, loaded_by_import, [name for name in names if name in sys
         assert code == 0, argv
         assert loaded_by_import == [], argv
         assert "dataclasses" not in loaded, argv
-        assert ("numpy" in loaded) == (argv is large_sampling), argv
-        assert "numpy.random" not in loaded, argv
-        assert "inspect" not in loaded or argv is large_sampling, argv
+        assert "numpy" not in loaded, argv
+        assert "inspect" not in loaded, argv
         assert ("catspan.isbell" in loaded) == (argv[0] in CONJUGATION_SUBCOMMANDS), argv
         assert ("catspan.tightspan" in loaded) == (argv[0] in METRIC_SUBCOMMANDS), argv
         assert ("catspan.fincat" in loaded) == (argv[0] not in METRIC_SUBCOMMANDS), argv

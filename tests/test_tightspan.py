@@ -505,48 +505,54 @@ def test_count_and_seed_that_are_not_integers_are_input_errors(metrics, count, s
         sample_tight_span(metrics["two_point"], count, seed)
 
 
-def _numpy_samples(space, count, seed):
-    """sample_tight_span's samples written out independently: the draws of
-    random.Random(seed), added to the anchor row in numpy and projected by
-    the numpy kernel."""
+def _sample_starts(space, count, seed):
+    """The starts sample_tight_span lowers, drawn independently of it:
+    random.Random(seed) gives the anchor row, then a perturbation of
+    diameter * r per point."""
     draw = random.Random(seed).random
-    d = np.array(space.dist, dtype=float)
     n = len(space.points)
-    samples = []
+    starts = []
     for _ in range(count):
-        anchor = int(n * draw())
-        perturbation = np.array([draw() for _ in range(n)]) * space.diameter if space.diameter > 0 else np.zeros(n)
-        samples.append(tightspan._project_numpy(DistanceFunction(space, (d[anchor] + perturbation).tolist()), d))
+        row = space.dist[int(n * draw())]
+        starts.append([row[i] + (space.diameter * draw() if space.diameter > 0 else 0.0) for i in range(n)])
+    return starts
+
+
+def _lowered_samples(space, count, seed):
+    """sample_tight_span's samples written out independently, in plain
+    Python: each start, visited largest value first with ties in point
+    order, each value lowered to the largest of 0 and every d(x, y) - f(y)
+    when that is lower."""
+    samples = []
+    for f in _sample_starts(space, count, seed):
+        for x in sorted(range(len(f)), key=lambda i: (-f[i], i)):
+            lowered = 0.0
+            for dxy, fy in zip(space.dist[x], f):
+                if dxy - fy > lowered:
+                    lowered = dxy - fy
+            if lowered < f[x]:
+                f[x] = lowered
+        samples.append(f)
     return samples
 
 
 @pytest.mark.parametrize("n, count", [(1, 3), (5, 3), (30, None), (NUMPY_FROM - 1, 1), (NUMPY_FROM, 1)])
 @pytest.mark.parametrize("seed", [0, 2**130 + 7], ids=["seed-0", "seed-2^130+7"])
-def test_samples_are_numpys_whichever_kernel_projects(monkeypatch, n, count, seed):
-    """The samples have the bits of the numpy kernel's (``_numpy_samples``)
-    whichever kernel projects them, and the kernel is the one that
-    NUMPY_FROM and SAMPLE_NUMPY_WORK pick."""
-    # At 30 points the counts fall just below and at SAMPLE_NUMPY_WORK.
+def test_samples_are_numpys_whichever_kernel_projects(n, count, seed):
+    """The samples have the bits of the independent oracle's
+    (``_lowered_samples``) on both sides of NUMPY_FROM; with no count given,
+    for two runs of one stream, the shorter a prefix of the longer."""
     space = _admissible_start(n, seed % 97).space
-    below = -(-tightspan.SAMPLE_NUMPY_WORK // (n * n)) - 1
-    counts = [count] if count else [below, below + 1]
-    expected = [[[v.hex() for v in f.values] for f in _numpy_samples(space, c, seed)] for c in counts]
-    kernels = []
-    for name in ("_project", "_project_numpy"):
-        monkeypatch.setattr(tightspan, name, lambda *args, kernel=getattr(tightspan, name): kernels.append(kernel.__name__) or kernel(*args))
-    for count, values in zip(counts, expected):
-        kernels.clear()
-        samples = sample_tight_span(space, count, seed)
-        numpy_kernel = n >= NUMPY_FROM or count * n * n >= tightspan.SAMPLE_NUMPY_WORK
-        assert set(kernels) == {"_project_numpy" if numpy_kernel else "_project"}
-        assert [[v.hex() for v in f.values] for f in samples] == values
+    for count in [count] if count else [39, 40]:
+        expected = [[v.hex() for v in f] for f in _lowered_samples(space, count, seed)]
+        assert [[v.hex() for v in f.values] for f in sample_tight_span(space, count, seed)] == expected
 
 
 def test_one_point_samples_make_a_negative_zero_diagonal_zero():
     # The diameter is -0.0, so nothing is drawn; the sampler adds zeros,
     # which makes a -0.0 on the diagonal into 0.0.
     space = validate_metric(["a"], [[-0.0]])
-    expected = [[v.hex() for v in f.values] for f in _numpy_samples(space, 3, 5)]
+    expected = [[v.hex() for v in f] for f in _lowered_samples(space, 3, 5)]
     assert [[v.hex() for v in f.values] for f in sample_tight_span(space, 3, 5)] == expected == [["0x0.0p+0"]] * 3
 
 
@@ -734,6 +740,40 @@ def test_witnesses_match_the_eager_oracle(data):
             except NoWitnessError as exc:
                 found = ("none", exc.residual.hex())
             assert found == _witness_oracle(f, i)
+
+
+# ---------------------------------------------------------- lowering
+# A sample is its start lowered in one pass. The result is extremal, lies
+# below the start value by value, and lands on a point of X (some value 0)
+# no more often than the average of the same start does.
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_samples_are_extremal_below_their_starts_with_witnesses(data):
+    space = data.draw(cloud_spaces())
+    count, seed = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2**16))
+    for f, start in zip(sample_tight_span(space, count, seed), _sample_starts(space, count, seed)):
+        assert extremality_defect(f).defect <= space.tol
+        assert all(a <= b for a, b in zip(f.values, start))
+        assert [geodesic_witness(f, x) for x in space.points]
+
+
+@pytest.mark.parametrize("n", [3, 5, 20, 50])
+@pytest.mark.parametrize("norm", ["l1", "euclidean"])
+def test_lowered_samples_land_on_x_no_more_often_than_averaged_ones(n, norm):
+    rng = random.Random(n)
+    coords = np.array([(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)) for _ in range(n)])
+    d = np.abs(coords[:, None] - coords[None]).sum(axis=2) if norm == "l1" else _euclidean_matrix(coords)
+    space = validate_metric([f"q{i}" for i in range(n)], d)
+    lowered = sample_tight_span(space, 200, 1)
+    # The numpy kernel averages to the same bits as extremal_project, in less time.
+    averaged = [tightspan._project_numpy(DistanceFunction(space, start)) for start in _sample_starts(space, 200, 1)]
+
+    def on_x(samples):
+        return sum(min(f.values) <= space.tol for f in samples)
+
+    assert on_x(lowered) <= on_x(averaged)
 
 
 # ---------------------------------------------------------- both kernels
