@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -332,9 +331,12 @@ def _cmd_sample_span(args, budget):
 
 # Each subcommand once, in the order ``--help`` lists them: its help line,
 # its arguments and its handler. An argument is a positional name, a name
-# ending in ``*`` for any number of floats, or ``--option=default`` for a
-# nonnegative integer option. ``build_parser`` gives every subcommand
-# ``--budget``, ``--tol``, ``--seed``, ``--format`` and ``--output`` first.
+# ending in ``*`` for any number of floats, or ``--option=default`` for an
+# option: a float for ``--tol``, a nonnegative integer for any other.
+# ``build_parser`` gives every subcommand ``--budget``, ``--format`` and
+# ``--output`` first, and ``main`` echoes every option but the last two.
+TOL, SEED = f"--tol={DEFAULT_TOL}", "--seed=0"
+OPTION_HELP = {"--tol": "numeric validation tolerance", "--seed": "seed for sampling subcommands"}
 COMMANDS = {
     "validate-cat": ("check the category laws of a category file", ("file",), _cmd_validate_cat),
     "validate-fun": ("check the functor laws of a functor file", ("file",), _cmd_validate_fun),
@@ -351,14 +353,16 @@ COMMANDS = {
     "reflexive-scan": (
         "scan all small presheaves for reflexivity", ("file", "--max-set-size=2"), _cmd_reflexive_scan,
     ),
-    "metric-validate": ("check the metric axioms of a metric file", ("file",), _cmd_metric_validate),
-    "tripod": ("closed-form hub and legs of a 3-point metric", ("file",), _cmd_tripod),
-    "project": ("project an admissible function onto the extremal set", ("file", "values*"), _cmd_project),
+    "metric-validate": ("check the metric axioms of a metric file", ("file", TOL), _cmd_metric_validate),
+    "tripod": ("closed-form hub and legs of a 3-point metric", ("file", TOL), _cmd_tripod),
+    "project": ("project an admissible function onto the extremal set", ("file", "values*", TOL), _cmd_project),
     "geodesic-check": (
-        "verify distance-sum witnesses on extremal functions", ("file", "values*", "--samples=100"),
+        "verify distance-sum witnesses on extremal functions", ("file", "values*", "--samples=100", TOL, SEED),
         _cmd_geodesic_check,
     ),
-    "sample-span": ("deterministically sample extremal functions", ("file", "--count=10"), _cmd_sample_span),
+    "sample-span": (
+        "deterministically sample extremal functions", ("file", "--count=10", TOL, SEED), _cmd_sample_span,
+    ),
 }
 
 
@@ -373,25 +377,28 @@ def nonnegative_int(text: str) -> int:
 
 def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
     """The top-level parser with the subparsers of ``names``, by default of
-    every subcommand."""
+    every subcommand. Each subparser's ``config`` default holds the dests
+    of its options other than ``--format`` and ``--output``."""
     parser = argparse.ArgumentParser(prog="catspan", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in names:
         help_line, arguments, _ = COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
+        config = ["budget"]
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node-expansion cap for enumerations")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric validation tolerance")
-        p.add_argument("--seed", type=nonnegative_int, default=0, help="seed for sampling subcommands")
         p.add_argument("--format", choices=("text", "structured"), default="text", dest="output_format")
         p.add_argument("--output", default=None, help="write the report to this path instead of stdout")
         for argument in arguments:
             if argument.startswith("--"):
                 option, default = argument.split("=")
-                p.add_argument(option, type=nonnegative_int, default=int(default))
+                kind = float if option == "--tol" else nonnegative_int
+                action = p.add_argument(option, type=kind, default=kind(default), help=OPTION_HELP.get(option))
+                config.append(action.dest)
             elif argument.endswith("*"):
                 p.add_argument(argument[:-1], nargs="*", type=float)
             else:
                 p.add_argument(argument)
+        p.set_defaults(config=config)
     return parser
 
 
@@ -455,8 +462,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         budget = Budget(args.budget)
-        if not (math.isfinite(args.tol) and args.tol > 0):
-            raise InputError("--tol must be positive and finite")
         _, _, handler = COMMANDS[args.subcommand]
         with recording_reads() as reads:
             ok, results = handler(args, budget)
@@ -467,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
                 "paths": [path for path, _ in reads],
                 "sha256": hashlib.sha256(b"".join(data for _, data in reads)).hexdigest(),
             },
-            "config": {"budget": args.budget, "tol": args.tol, "seed": args.seed},
+            "config": {dest: getattr(args, dest) for dest in args.config},
             "ok": ok,
             "results": results,
             "budget": {"cap": budget.cap, "used": budget.used},

@@ -116,7 +116,7 @@ class FiniteMetricSpace(Frozen):
     def __init__(self, points: tuple[str, ...], dist: tuple[tuple[float, ...], ...], tol: float):
         positions = {p: i for i, p in enumerate(points)}
         if len(positions) != len(points):
-            raise ValueError("duplicate point labels")
+            raise InputError("duplicate point labels")
         super().__init__(points, dist, tol)
         object.__setattr__(self, "_positions", positions)
 
@@ -176,14 +176,14 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     largest entry of magnitude at most MAX_DISTANCE, so that it scales with
     the distances once they are large; the returned space carries it.
 
-    A NaN, infinite or negative ``tol`` raises InputError: a NaN one would
-    pass every comparison. Shape mismatches raise ValueError; axiom
-    failures raise MetricError carrying every violation with a witness
-    tuple. Non-finite entries come first, as axiom ``finite`` with their
-    (row, column) points, and finite entries above MAX_DISTANCE next, as
-    ``oversized-entry``; then ``negative-entry`` in row-major order,
-    ``nonzero-diagonal``, per pair i < j ``asymmetry`` before
-    ``zero-distance``, and ``triangle`` in (i, j, k) order.
+    A NaN, infinite or negative ``tol`` raises InputError, as a NaN one
+    would pass every comparison; so do a matrix that is not n x n and
+    repeated point labels. Axiom failures raise MetricError carrying every
+    violation with a witness tuple. Non-finite entries come first, as axiom
+    ``finite`` with their (row, column) points, and finite entries above
+    MAX_DISTANCE next, as ``oversized-entry``; then ``negative-entry`` in
+    row-major order, ``nonzero-diagonal``, per pair i < j ``asymmetry``
+    before ``zero-distance``, and ``triangle`` in (i, j, k) order.
 
     Every axiom but the triangle is O(n^2) in Python. The triangle compares
     all n^3 triples, in Python below NUMPY_FROM points and in numpy from
@@ -195,7 +195,7 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     n = len(labels)
     d = tuple(tuple(map(float, row)) for row in matrix)
     if len(d) != n or any(len(row) != n for row in d):
-        raise ValueError(f"distance matrix must be {n}x{n}")
+        raise InputError(f"distance matrix must be {n}x{n}")
 
     scale = max(map(_largest_entry, d), default=0.0)
     tol = max(tol, TOL_SPACINGS * math.ulp(scale))

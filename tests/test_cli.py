@@ -263,7 +263,14 @@ def test_non_finite_tolerance_is_a_usage_error(capsys, tmp_path, tol):
     code, out, err = run(capsys, "metric-validate", str(path), "--tol", tol, "--format", "structured")
     assert code == 2
     assert out == ""
-    assert err.startswith("catspan: error: --tol")
+    assert err.startswith("catspan: error: tolerance must be finite and nonnegative")
+
+
+def test_zero_tolerance_is_raised_to_the_floor(capsys):
+    # validate_metric alone decides which tolerances fit; 0 is raised to TOL_SPACINGS spacings.
+    code, out, err = run(capsys, "metric-validate", fx("two_point.metric.json"), "--tol", "0", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["config"] == {"budget": cli.DEFAULT_BUDGET, "tol": 0.0}
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from catspan.cli import main
+from catspan.cli import COMMANDS, main
 from catspan.corpus import fixture_path
 from test_acceptance import CLI_SUITE
 
@@ -84,6 +84,12 @@ def test_golden_output(name, cwd, argv):
     code, produced = run_case(cwd, argv)
     assert code == 0, argv
     assert produced == (GOLDEN / f"{name}.json").read_bytes(), name
+
+
+def test_every_subcommand_has_a_golden():
+    # So each subcommand's declared options are echoed in a byte-compared
+    # report, and a handler reading an option it does not declare fails here.
+    assert {argv[0] for _, _, argv in CASES} == set(COMMANDS)
 
 
 def _cyclic_documents(n: int) -> dict[str, dict]:

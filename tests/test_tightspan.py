@@ -891,3 +891,13 @@ def test_metric_space_rejects_repeated_labels():
     # validate_metric raises it before any axiom is checked.
     with pytest.raises(ValueError, match="duplicate point labels"):
         validate_metric(["a", "a"], [[0.0, -1.0], [2.0, 1.0]])
+
+
+def test_metric_shape_and_repeated_labels_are_input_errors():
+    # Usage errors like every other; the CLI's parser rejects both first.
+    with pytest.raises(InputError, match="must be 2x2"):
+        validate_metric(["a", "b"], [[0, 1, 2], [1, 0, 1]])
+    with pytest.raises(InputError, match="duplicate point labels"):
+        FiniteMetricSpace(("a", "a"), ((0.0, 1.0), (1.0, 0.0)), 1e-9)
+    with pytest.raises(InputError, match="duplicate point labels"):
+        validate_metric(["a", "a"], [[0.0, 1.0], [1.0, 0.0]])
