@@ -35,6 +35,8 @@ CASES = [
     ["nat", "a", "b", "--budget", "x"],
     ["reflexive-scan", "F", "--max-set-size", "-1"],
     ["sample-span", "F", "--seed", "-1"],
+    ["unit", "F", "--seed", "3"],
+    ["validate-cat", "F", "--tol", "0.5"],
 ]
 
 
