@@ -6,8 +6,8 @@ import importlib
 
 # Every public name is served on first use (PEP 562), from the module that
 # defines it, so that a command loads only the modules it runs: numpy is
-# needed only where the tight span samples or works on a large metric
-# (``tightspan.NUMPY_FROM``), the conjugation module only by the
+# needed only on a large metric (``tightspan.NUMPY_FROM`` points or more,
+# and never to sample the tight span), the conjugation module only by the
 # conjugation commands, and the category modules by neither the metric
 # commands nor the budget and error names, which live in the leaf ``core``.
 _EXPORTS = {

@@ -331,10 +331,9 @@ def _cmd_sample_span(args, budget):
 
 # Each subcommand once, in the order ``--help`` lists them: its help line,
 # its arguments and its handler. An argument is a positional name, a name
-# ending in ``*`` for any number of floats, or ``--option=default`` for an
-# option: a float for ``--tol``, a nonnegative integer for any other.
-# ``build_parser`` gives every subcommand ``--budget``, ``--format`` and
-# ``--output`` first, and ``main`` echoes every option but the last two.
+# ending in ``*`` for any number of floats, or ``--option=default``: a float
+# for ``--tol``, else a nonnegative integer. ``build_parser`` gives every
+# subcommand ``--budget``, ``--format`` and ``--output`` first.
 TOL, SEED = f"--tol={DEFAULT_TOL}", "--seed=0"
 OPTION_HELP = {"--tol": "numeric validation tolerance", "--seed": "seed for sampling subcommands"}
 COMMANDS = {
@@ -360,9 +359,7 @@ COMMANDS = {
         "verify distance-sum witnesses on extremal functions", ("file", "values*", "--samples=100", TOL, SEED),
         _cmd_geodesic_check,
     ),
-    "sample-span": (
-        "deterministically sample extremal functions", ("file", "--count=10", TOL, SEED), _cmd_sample_span,
-    ),
+    "sample-span": ("deterministically sample extremal functions", ("file", "--count=10", TOL, SEED), _cmd_sample_span),
 }
 
 
@@ -377,8 +374,7 @@ def nonnegative_int(text: str) -> int:
 
 def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
     """The top-level parser with the subparsers of ``names``, by default of
-    every subcommand. Each subparser's ``config`` default holds the dests
-    of its options other than ``--format`` and ``--output``."""
+    every subcommand."""
     parser = argparse.ArgumentParser(prog="catspan", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in names:
@@ -392,13 +388,12 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
             if argument.startswith("--"):
                 option, default = argument.split("=")
                 kind = float if option == "--tol" else nonnegative_int
-                action = p.add_argument(option, type=kind, default=kind(default), help=OPTION_HELP.get(option))
-                config.append(action.dest)
+                config.append(p.add_argument(option, type=kind, default=kind(default), help=OPTION_HELP.get(option)).dest)
             elif argument.endswith("*"):
                 p.add_argument(argument[:-1], nargs="*", type=float)
             else:
                 p.add_argument(argument)
-        p.set_defaults(config=config)
+        p.set_defaults(config=config)  # the options a report echoes: all but --format and --output
     return parser
 
 
