@@ -88,7 +88,8 @@ def test_golden_output(name, cwd, argv):
 
 def test_every_subcommand_has_a_golden():
     # So each subcommand's declared options are echoed in a byte-compared
-    # report, and a handler reading an option it does not declare fails here.
+    # report, and a handler reading an option it does not declare fails a
+    # golden run.
     assert {argv[0] for _, _, argv in CASES} == set(COMMANDS)
 
 
