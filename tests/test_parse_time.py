@@ -6,12 +6,20 @@ reports, pinned byte for byte with their exit codes.
 in the order of ``CASES``: a ``$ catspan ...`` line, the exit code, then
 stdout and stderr. ``COLUMNS`` is fixed, so that argparse wraps the same
 way on every terminal; the text is argparse's as Python 3.11 writes it.
+
+    PYTHONPATH=src python tests/test_parse_time.py
+
+rewrites the transcript from ``CASES`` with the code on PYTHONPATH, and
+prints the command line of each record that changed, or that none changed.
+Do that only for a change that alters this text on purpose, and record the
+change.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
 from pathlib import Path
 
@@ -63,3 +71,13 @@ def test_transcript_has_one_record_per_case():
 def test_parse_time_output_is_unchanged(monkeypatch, index):
     monkeypatch.setenv("COLUMNS", "80")
     assert record(CASES[index]) == expected_records()[index]
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    before = {text.split("\n", 1)[0]: text for text in expected_records()} if TRANSCRIPT.exists() else {}
+    records = [record(argv) for argv in CASES]
+    TRANSCRIPT.write_text("".join(records))
+    changed = [text.split("\n", 1)[0] for text in records if before.get(text.split("\n", 1)[0]) != text]
+    print(f"wrote {len(records)} records to {TRANSCRIPT}")
+    print("\n".join(changed) if changed else "no record changed")
