@@ -33,6 +33,7 @@ from .core import (
 )
 from .fileformat import (
     VARIANCE_NAMES,
+    check_document,
     functor_to_dict,
     load_category,
     load_functor,
@@ -65,9 +66,8 @@ def _load_functor_checked(path: str):
 def _load_valid_metric(path: str, tol: float):
     from .tightspan import MetricError, validate_metric
 
-    points, matrix = load_metric_document(path)
     try:
-        return validate_metric(points, matrix, tol)
+        return check_document(path, validate_metric, *load_metric_document(path), tol)
     except MetricError as exc:
         first = exc.violations[0]
         raise InputError(f"{path}: not a valid metric ({first[0]} at {first[1]}); run metric-validate") from None
@@ -80,7 +80,7 @@ def _cmd_validate_cat(args, budget):
     from .fincat import validate_category
 
     candidate = load_category(args.file)
-    report = validate_category(candidate)
+    report = check_document(args.file, validate_category, candidate)
     results = {
         "valid": report.ok,
         "objects": len(candidate.objects),
@@ -231,9 +231,8 @@ def _cmd_reflexive_scan(args, budget):
 def _cmd_metric_validate(args, budget):
     from .tightspan import MetricError, validate_metric
 
-    points, matrix = load_metric_document(args.file)
     try:
-        space = validate_metric(points, matrix, args.tol)
+        space = check_document(args.file, validate_metric, *load_metric_document(args.file), args.tol)
     except MetricError as exc:
         return False, {
             "valid": False,
@@ -324,7 +323,6 @@ def _cmd_sample_span(args, budget):
     samples = sample_tight_span(space, args.count, args.seed)
     return True, {
         "count": len(samples),
-        "seed": args.seed,
         "samples": [s.as_dict() for s in samples],
     }
 
@@ -372,11 +370,24 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which reports an argument it does not take
+    itself, with its own usage, instead of leaving it to the top level."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
     """The top-level parser with the subparsers of ``names``, by default of
-    every subcommand."""
+    every subcommand. A run builds the subparser of the subcommand it names
+    alone; help and a missing or unknown subcommand go to the parser of
+    every subcommand, whose usage lists them all."""
     parser = argparse.ArgumentParser(prog="catspan", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_SubcommandParser)
     for name in names:
         help_line, arguments, _ = COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
@@ -395,18 +406,6 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
                 p.add_argument(argument)
         p.set_defaults(config=config)  # the options a report echoes: all but --format and --output
     return parser
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed by the subparser of the subcommand it names alone.
-    Whatever the top level reports itself (help, a missing or unknown
-    subcommand, an argument no subparser takes) it reports with the parser
-    of every subcommand, whose usage lists them all."""
-    if argv and argv[0] in COMMANDS:
-        args, extra = build_parser(argv[:1]).parse_known_args(argv)
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
 
 
 def _render_text(value, indent: int = 0) -> list[str]:
@@ -449,8 +448,9 @@ def _emit(report: dict, args: argparse.Namespace, elapsed: float) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

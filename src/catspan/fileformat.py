@@ -1,14 +1,14 @@
 """The on-disk document format shared by categories, functors, and metrics.
 
 All three kinds are JSON documents with a versioned ``"format": 1`` header
-and a ``"kind"`` field; every JSON number reads as a float. Structural
-problems are reported as ParseError, an ``InputError``, with the offending
-field path. Loaders other than ``load_category`` check the category laws
-once, where a category enters, and report the first violation as a
-ParseError at the pseudo-path ``<laws>``.
-
-The category and functor parsers import ``fincat`` and ``setfunc`` when
-called, so that reading a metric loads neither.
+and a ``"kind"`` field; every JSON number reads as a float. The parsers
+check the header, JSON types, required fields, a ``compose`` pair given
+twice and a metric's nonempty ``points``, and report a ParseError, an
+``InputError``, at the offending field path. The library checks the labels,
+once; ``check_document`` reports its StructuralError at ``<structure>``,
+and loaders other than ``load_category`` the first broken category law at
+``<laws>``. The category and functor parsers import ``fincat`` and
+``setfunc`` when called, so that reading a metric loads neither.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
 
-from .core import CONTRAVARIANT, COVARIANT, InputError
+from .core import CONTRAVARIANT, COVARIANT, InputError, StructuralError
 
 # Type checkers read the block below; ``typing`` itself costs a command a few
 # milliseconds of start-up.
@@ -118,17 +118,17 @@ def _expect(doc: dict, source: str, field: str, typ, type_name: str):
     return value
 
 
-def _first_duplicate(labels: list[str]) -> str | None:
-    seen: set[str] = set()
-    for label in labels:
-        if label in seen:
-            return label
-        seen.add(label)
-    return None
+def check_document(source: str, check, *args):
+    """``check(*args)`` on a document read from ``source``; a StructuralError
+    it raises is a ParseError at the pseudo-path ``<structure>``."""
+    try:
+        return check(*args)
+    except StructuralError as exc:
+        raise ParseError(source, "<structure>", str(exc)) from None
 
 
 def parse_category(doc: dict, source: str = "<inline>") -> FinCategory:
-    """Structural parse of a category document into an unvalidated candidate."""
+    """Parse a category document; its labels and laws are not yet checked."""
     from .fincat import FinCategory, Morphism
 
     _check_header(doc, source, "category")
@@ -144,29 +144,17 @@ def parse_category(doc: dict, source: str = "<inline>") -> FinCategory:
         for key in ("id", "src", "tgt"):
             if key not in record or not isinstance(record[key], str):
                 raise ParseError(source, f"morphisms[{i}].{key}", "missing or non-string")
-        if record["src"] not in objects:
-            raise ParseError(source, f"morphisms[{i}].src", f"morphism {record['id']!r} references undeclared object {record['src']!r}")
-        if record["tgt"] not in objects:
-            raise ParseError(source, f"morphisms[{i}].tgt", f"morphism {record['id']!r} references undeclared object {record['tgt']!r}")
         morphisms.append(Morphism(record["id"], record["src"], record["tgt"]))
-    labels = {m.label for m in morphisms}
     identities = _expect(doc, source, "identities", dict, "object-to-morphism map")
     for obj, label in identities.items():
-        if obj not in objects:
-            raise ParseError(source, f"identities.{obj}", "undeclared object")
         if not isinstance(label, str):
             raise ParseError(source, f"identities.{obj}", "expected a morphism id")
-        if label not in labels:
-            raise ParseError(source, f"identities.{obj}", f"undeclared morphism {label!r}")
     table = {}
     raw_compose = _expect(doc, source, "compose", list, "list of [g, f, result] triples")
     for i, entry in enumerate(raw_compose):
         if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(x, str) for x in entry)):
             raise ParseError(source, f"compose[{i}]", "expected a [g, f, result] triple of morphism ids")
         g, f, r = entry
-        for label in (g, f, r):
-            if label not in labels:
-                raise ParseError(source, f"compose[{i}]", f"undeclared morphism {label!r}")
         if (g, f) in table:
             raise ParseError(source, f"compose[{i}]", f"duplicate entry for pair ({g!r}, {f!r})")
         table[(g, f)] = r
@@ -174,14 +162,14 @@ def parse_category(doc: dict, source: str = "<inline>") -> FinCategory:
 
 
 def load_category(path: str | Path) -> FinCategory:
-    """Parse a category file; structural only, laws not yet checked."""
+    """Parse a category file; labels and laws not yet checked."""
     return parse_category(read_document(path), str(path))
 
 
 def _require_laws(category: FinCategory, source: str) -> FinCategory:
     from .fincat import validate_category
 
-    report = validate_category(category)
+    report = check_document(source, validate_category, category)
     if not report.ok:
         first = report.violations[0]
         raise ParseError(
@@ -218,26 +206,14 @@ def parse_functor(doc: dict, source: str, base_dir: Path) -> SetValuedFunctor:
         raise ParseError(source, "variance", f"expected 'co' or 'contra', got {variance_code!r}")
     raw_objects = _expect(doc, source, "objects", dict, "object-to-elements map")
     for obj, elems in raw_objects.items():
-        if obj not in category.objects:
-            raise ParseError(source, f"objects.{obj}", "undeclared object")
         if not (isinstance(elems, list) and all(isinstance(e, str) for e in elems)):
             raise ParseError(source, f"objects.{obj}", "expected a list of element labels")
-        duplicate = _first_duplicate(elems)
-        if duplicate is not None:
-            raise ParseError(source, f"objects.{obj}", f"duplicate element label {duplicate!r}")
-    for obj in category.objects:
-        if obj not in raw_objects:
-            raise ParseError(source, f"objects.{obj}", "missing value set")
     raw_morphisms = _expect(doc, source, "morphisms", dict, "morphism-to-action map")
-    known = {m.label for m in category.morphisms}
     for label, action in raw_morphisms.items():
-        if label not in known:
-            raise ParseError(source, f"morphisms.{label}", "undeclared morphism")
         if not (isinstance(action, dict) and all(isinstance(k, str) and isinstance(v, str) for k, v in action.items())):
             raise ParseError(source, f"morphisms.{label}", "expected an element-to-element map")
-    # Law checking (typing, identities, composition) happens here; callers
-    # catch FunctorLawError separately from ParseError.
-    return validate_functor(category, VARIANCE_CODES[variance_code], raw_objects, raw_morphisms)
+    # A law failure is a FunctorLawError, which callers catch apart from ParseError.
+    return check_document(source, validate_functor, category, VARIANCE_CODES[variance_code], raw_objects, raw_morphisms)
 
 
 def load_functor(path: str | Path) -> SetValuedFunctor:
@@ -248,7 +224,7 @@ def load_functor(path: str | Path) -> SetValuedFunctor:
 
 
 def parse_metric(doc: dict, source: str) -> tuple[list[str], list[list[float]]]:
-    """Structural parse of a metric document; axioms are checked separately."""
+    """Parse a metric document; ``tightspan.validate_metric`` checks the rest."""
     _check_header(doc, source, "metric")
     points = _expect(doc, source, "points", list, "list of point labels")
     if not points:
@@ -256,21 +232,14 @@ def parse_metric(doc: dict, source: str) -> tuple[list[str], list[list[float]]]:
     for i, p in enumerate(points):
         if not isinstance(p, str):
             raise ParseError(source, f"points[{i}]", "point label must be a string")
-    duplicate = _first_duplicate(points)
-    if duplicate is not None:
-        raise ParseError(source, "points", f"duplicate point label {duplicate!r}")
     rows = _expect(doc, source, "d", list, "square matrix of numbers")
-    if len(rows) != len(points):
-        raise ParseError(source, "d", f"expected {len(points)} rows, got {len(rows)}")
-    matrix = []
     for i, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == len(points)):
-            raise ParseError(source, f"d[{i}]", f"expected a row of {len(points)} numbers")
-        if set(map(type, row)) != {float}:  # every JSON number reads as a float
+        if not isinstance(row, list):
+            raise ParseError(source, f"d[{i}]", "expected a row of numbers")
+        if set(map(type, row)) - {float}:  # every JSON number reads as a float
             j = next(j for j, x in enumerate(row) if type(x) is not float)
             raise ParseError(source, f"d[{i}][{j}]", "expected a number")
-        matrix.append(row)
-    return list(points), matrix
+    return list(points), rows
 
 
 def load_metric_document(path: str | Path) -> tuple[list[str], list[list[float]]]:

@@ -76,7 +76,8 @@ class FinSet(Frozen):
     def __init__(self, elements: tuple[str, ...]):
         index = {e: i for i, e in enumerate(elements)}
         if len(index) != len(elements):
-            raise ValueError(f"duplicate element labels in {elements}")
+            first = next(e for i, e in enumerate(elements) if index[e] != i)
+            raise StructuralError(f"duplicate element labels in {elements}, first {first!r}")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", index)
 
@@ -211,10 +212,12 @@ def validate_functor(
     ``on_objects`` values may be FinSets or plain label sequences, and
     ``on_morphisms`` values are mapping dicts from labels to labels.
     Identity actions may be omitted; they are filled in as identities.
-    Raises FunctorLawError with a witness morphism on the first law failure.
+    A variance that is neither raises InputError, and labels that do not
+    resolve raise StructuralError, all before the first law failure raises
+    FunctorLawError with a witness morphism.
     """
     if variance not in (COVARIANT, CONTRAVARIANT):
-        raise ValueError(f"variance must be {COVARIANT!r} or {CONTRAVARIANT!r}, got {variance!r}")
+        raise InputError(f"variance must be {COVARIANT!r} or {CONTRAVARIANT!r}, got {variance!r}")
 
     objects: dict[str, FinSet] = {}
     for obj in base.objects:
@@ -225,23 +228,24 @@ def validate_functor(
     for obj in on_objects:
         if obj not in objects:
             raise StructuralError(f"value set declared for undeclared object {obj!r}")
+    for label in on_morphisms:
+        if label not in base._by_label:
+            raise StructuralError(f"action declared for undeclared morphism {label!r}")
+    for m in base.morphisms:
+        if m.label not in on_morphisms and not base.is_identity(m.label):
+            raise StructuralError(f"no action declared for morphism {m.label!r}")
 
     shape = _shape(base, variance)
     actions: dict[str, tuple[int, ...]] = {}
     for m in shape.morphisms:
         dom, cod = objects[m.src], objects[m.tgt]
-        if m.label not in on_morphisms:
-            if base.is_identity(m.label):
-                actions[m.label] = tuple(range(len(dom)))
-                continue
-            raise StructuralError(f"no action declared for morphism {m.label!r}")
+        if m.label not in on_morphisms:  # an identity
+            actions[m.label] = tuple(range(len(dom)))
+            continue
         try:
             actions[m.label] = _images(dom, cod, dict(on_morphisms[m.label]))
         except ValueError as exc:
             raise FunctorLawError("typing", (m.label,), str(exc)) from None
-    for label in on_morphisms:
-        if label not in actions:
-            raise StructuralError(f"action declared for undeclared morphism {label!r}")
 
     for obj in base.objects:
         ident = base.identity[obj]

@@ -38,7 +38,7 @@ import sys
 from itertools import repeat
 from operator import add, sub
 
-from .core import DEFAULT_TOL, Frozen, InputError, as_integer  # DEFAULT_TOL is re-exported
+from .core import DEFAULT_TOL, Frozen, InputError, StructuralError, as_integer  # DEFAULT_TOL is re-exported
 
 WITNESS_TOL = 1e-6
 # The tolerance floor, in float spacings of the largest entry: above the few
@@ -116,7 +116,8 @@ class FiniteMetricSpace(Frozen):
     def __init__(self, points: tuple[str, ...], dist: tuple[tuple[float, ...], ...], tol: float):
         positions = {p: i for i, p in enumerate(points)}
         if len(positions) != len(points):
-            raise InputError("duplicate point labels")
+            first = next(p for i, p in enumerate(points) if positions[p] != i)
+            raise StructuralError(f"duplicate point labels, first {first!r}")
         super().__init__(points, dist, tol)
         object.__setattr__(self, "_positions", positions)
 
@@ -177,13 +178,14 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     the distances once they are large; the returned space carries it.
 
     A NaN, infinite or negative ``tol`` raises InputError, as a NaN one
-    would pass every comparison; so do a matrix that is not n x n and
-    repeated point labels. Axiom failures raise MetricError carrying every
-    violation with a witness tuple. Non-finite entries come first, as axiom
-    ``finite`` with their (row, column) points, and finite entries above
-    MAX_DISTANCE next, as ``oversized-entry``; then ``negative-entry`` in
-    row-major order, ``nonzero-diagonal``, per pair i < j ``asymmetry``
-    before ``zero-distance``, and ``triangle`` in (i, j, k) order.
+    would pass every comparison; a matrix that is not n x n and repeated
+    point labels raise StructuralError. Axiom failures raise MetricError
+    carrying every violation with a witness tuple. Non-finite entries come
+    first, as axiom ``finite`` with their (row, column) points, and finite
+    entries above MAX_DISTANCE next, as ``oversized-entry``; then
+    ``negative-entry`` in row-major order, ``nonzero-diagonal``, per pair
+    i < j ``asymmetry`` before ``zero-distance``, and ``triangle`` in
+    (i, j, k) order.
 
     Every axiom but the triangle is O(n^2) in Python. The triangle compares
     all n^3 triples, in Python below NUMPY_FROM points and in numpy from
@@ -194,8 +196,12 @@ def validate_metric(points, matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpa
     labels = tuple(points)
     n = len(labels)
     d = tuple(tuple(map(float, row)) for row in matrix)
-    if len(d) != n or any(len(row) != n for row in d):
-        raise InputError(f"distance matrix must be {n}x{n}")
+    if len(d) != n:
+        where = f"no row for {labels[len(d)]!r}" if len(d) < n else f"{len(d)} rows"
+        raise StructuralError(f"distance matrix must be {n}x{n}: {where}")
+    for point, row in zip(labels, d):
+        if len(row) != n:
+            raise StructuralError(f"distance matrix must be {n}x{n}: the row of {point!r} has length {len(row)}")
 
     scale = max(map(_largest_entry, d), default=0.0)
     tol = max(tol, TOL_SPACINGS * math.ulp(scale))

@@ -414,23 +414,50 @@ DUPLICATE_LABEL_FUNCTOR = {
 }
 
 
+def _metric(points, d):
+    return {"format": 1, "kind": "metric", "points": points, "d": d}
+
+
 @pytest.mark.parametrize(
     "subcommand,doc,field,detail",
     [
-        ("validate-fun", DUPLICATE_LABEL_FUNCTOR, "objects.*", "duplicate element label 'a'"),
-        ("metric-validate", {"format": 1, "kind": "metric", "points": ["a", "a"], "d": [[0, 1], [1, 0]]},
-         "points", "duplicate point label 'a'"),
-        ("metric-validate", {"format": 1, "kind": "metric", "points": [], "d": []}, "points", "at least one point"),
+        ("validate-fun", DUPLICATE_LABEL_FUNCTOR, "<structure>", "duplicate element labels in ('a', 'a'), first 'a'"),
+        ("metric-validate", _metric(["a", "a"], [[0, 1], [1, 0]]), "<structure>", "duplicate point labels, first 'a'"),
+        # Labels that do not resolve are the library's StructuralError, which
+        # every loader reports at <structure> of the file it read.
+        ("validate-cat", {**BROKEN_CATEGORY, "morphisms": [*BROKEN_CATEGORY["morphisms"], {"id": "g", "src": "A", "tgt": "C"}]},
+         "<structure>", "morphism 'g' references undeclared object 'C'"),
+        ("reflexive-scan", {**BROKEN_CATEGORY, "identities": {"A": "id_A", "B": "id_B", "C": "id_B"}},
+         "<structure>", "identity entry for undeclared object 'C'"),
+        ("validate-cat", {**BROKEN_CATEGORY, "identities": {"A": "id_A", "B": "g"}},
+         "<structure>", "identity of 'B' references undeclared morphism 'g'"),
+        ("validate-cat", {**BROKEN_CATEGORY, "compose": [*BROKEN_CATEGORY["compose"], ["g", "f", "f"]]},
+         "<structure>", "compose entry ('g', 'f') references undeclared morphism 'g'"),
+        ("validate-cat", {**BROKEN_CATEGORY, "morphisms": [*BROKEN_CATEGORY["morphisms"], {"id": "f", "src": "A", "tgt": "B"}]},
+         "<structure>", "duplicate morphism label 'f'"),
+        ("validate-fun", {**DUPLICATE_LABEL_FUNCTOR, "objects": {"*": ["a"], "X": []}},
+         "<structure>", "value set declared for undeclared object 'X'"),
+        ("unit", {**DUPLICATE_LABEL_FUNCTOR, "objects": {}}, "<structure>", "no value set declared for object '*'"),
+        ("conjugate", {**DUPLICATE_LABEL_FUNCTOR, "objects": {"*": ["a"]}, "morphisms": {"f": {}}},
+         "<structure>", "action declared for undeclared morphism 'f'"),
+        # The mistyped action alone is a law failure, exit 1 in validate-fun.
+        ("validate-fun", {**DUPLICATE_LABEL_FUNCTOR, "objects": {"*": ["a"]}, "morphisms": {"id": {"a": "b"}, "f": {}}},
+         "<structure>", "action declared for undeclared morphism 'f'"),
+        ("sample-span", _metric(["a", "b"], [[0, 1], []]), "<structure>", "distance matrix must be 2x2: the row of 'b' has length 0"),
+        ("tripod", _metric(["a", "b"], [[0, 1]]), "<structure>", "distance matrix must be 2x2: no row for 'b'"),
+        ("metric-validate", _metric([], []), "points", "at least one point"),
         ("validate-cat", {**BROKEN_CATEGORY, "identities": {"A": ["id_A"], "B": "id_B"}},
          "identities.A", "expected a morphism id"),
         # every JSON number reads as a float, also where a message echoes it
         ("validate-cat", {**BROKEN_CATEGORY, "format": 2}, "format", "expected format 1, got 2.0"),
         ("validate-cat", {**BROKEN_CATEGORY, "format": True}, "format", "expected format 1, got True"),
         ("validate-cat", {**BROKEN_CATEGORY, "objects": 3}, "objects", "expected list of labels, got float"),
-        ("metric-validate", {"format": 1, "kind": "metric", "points": ["a", "b"], "d": [[0, 1], [1, True]]},
-         "d[1][1]", "expected a number"),
+        ("metric-validate", _metric(["a", "b"], [[0, 1], [1, True]]), "d[1][1]", "expected a number"),
     ],
-    ids=["functor-duplicate", "metric-duplicate", "metric-empty", "identity-not-a-string",
+    ids=["functor-duplicate", "metric-duplicate", "undeclared-target", "identity-of-undeclared-object",
+         "identity-undeclared", "compose-undeclared", "repeated-morphism", "functor-undeclared-object",
+         "functor-missing-value-set", "functor-undeclared-morphism", "undeclared-before-mistyped",
+         "metric-short-row", "metric-missing-row", "metric-empty", "identity-not-a-string",
          "format-integer", "format-boolean", "objects-integer", "distance-not-a-number"],
 )
 def test_bad_labels_are_parse_errors(capsys, tmp_path, subcommand, doc, field, detail):

@@ -112,6 +112,11 @@ def test_typing_mismatch_detected(categories):
     assert err.value.law == "typing"
 
 
+def test_unknown_variance_is_an_input_error(categories):
+    with pytest.raises(InputError, match="variance must be"):
+        validate_functor(categories["terminal"], "sideways", {"*": ["a"]}, {})
+
+
 # ---------------------------------------------------------- enumeration
 
 

@@ -83,7 +83,7 @@ def test_entries_whose_sums_overflow_are_violations():
 
 
 def test_shape_mismatch_is_not_an_axiom_failure():
-    # A usage error like every other; the CLI's parser rejects it first.
+    # A usage error like every other, which the CLI reports at <structure>.
     with pytest.raises(InputError, match="must be 2x2"):
         validate_metric(["a", "b"], [[0, 1, 2], [1, 0, 1]])
 
