@@ -77,7 +77,7 @@ class FinSet(Frozen):
         index = {e: i for i, e in enumerate(elements)}
         if len(index) != len(elements):
             first = next(e for i, e in enumerate(elements) if index[e] != i)
-            raise StructuralError(f"duplicate element labels in {elements}, first {first!r}")
+            raise StructuralError(f"duplicate element labels, first {first!r}")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", index)
 

@@ -421,7 +421,7 @@ def _metric(points, d):
 @pytest.mark.parametrize(
     "subcommand,doc,field,detail",
     [
-        ("validate-fun", DUPLICATE_LABEL_FUNCTOR, "<structure>", "duplicate element labels in ('a', 'a'), first 'a'"),
+        ("validate-fun", DUPLICATE_LABEL_FUNCTOR, "<structure>", "duplicate element labels, first 'a'"),
         ("metric-validate", _metric(["a", "a"], [[0, 1], [1, 0]]), "<structure>", "duplicate point labels, first 'a'"),
         # Labels that do not resolve are the library's StructuralError, which
         # every loader reports at <structure> of the file it read.
